@@ -1,4 +1,4 @@
-.PHONY: check test bench-fold bench-compare audit chaos shard trace mem
+.PHONY: check test bench-fold bench-compare bench-snapshot perfbench audit chaos shard trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + fold alloc regression.
 check:
@@ -12,6 +12,17 @@ test:
 bench-fold:
 	go test ./internal/core -bench BenchmarkFold -benchmem
 	go run ./cmd/flbench -experiment fold -rows 100000 $(ARGS)
+
+# Snapshot refresh micro-bench: Q18 stopped mid-run at B=100 (trial
+# overlays, replica vectors, CIs), with allocations.
+bench-snapshot:
+	go test ./internal/core -run XXX -bench BenchmarkSnapshotNested -benchmem
+
+# End-to-end benchmark (BENCHMARK.json). Prints the tpch-nested A/B
+# command: run it in a checkout of each side, alternating, and compare
+# the JSON result lines (add --trace 1 for per-layer metrics).
+perfbench:
+	@echo "python3 perfbench/run.py --workload tpch-nested --seed 3 --seconds 15 --trace 0"
 
 # Advisory perf diff: fresh fold run vs the committed BENCH_fold.json;
 # warns above 10% ns/row regression, never fails (see benchdiff.sh).

@@ -217,33 +217,53 @@ func (b *bindings) pointCtx(row types.Row) *expr.Ctx {
 	return ctx
 }
 
-// trialCtx builds the expression context of bootstrap trial j.
-func (b *bindings) trialCtx(row types.Row, j int) *expr.Ctx {
-	ctx := &expr.Ctx{Row: row}
-	ctx.Scalars = make([]types.Value, len(b.scalars))
-	for i, s := range b.scalars {
-		ctx.Scalars[i] = s.reps[j]
-	}
-	ctx.Groups = make([]func(string) (types.Value, bool), len(b.groups))
-	for i := range b.groups {
-		g := b.groups[i]
-		ctx.Groups[i] = func(key string) (types.Value, bool) {
-			vs := g.repsFor(key)
-			if vs == nil {
-				return types.Null, false
-			}
-			return vs[j], true
+// trialEnv evaluates expressions under the bindings of bootstrap trials
+// 0..n-1 through one context: at(j) switches the scalar values and the
+// trial index, and group and set params resolve through a per-row memo
+// (expr.ParamMemo), so a row evaluated under every trial builds each
+// correlation key and fetches each replica vector once.
+type trialEnv struct {
+	ctx     *expr.Ctx
+	scalars []types.Value // [trial*nScalars + i]
+	ns      int
+}
+
+// trialEnv snapshots the scalar replicas of trials 0..n-1; group and
+// set replica vectors are read through the bindings at lookup time.
+func (b *bindings) trialEnv(n int) *trialEnv {
+	ns := len(b.scalars)
+	te := &trialEnv{ns: ns, scalars: make([]types.Value, n*ns)}
+	for j := 0; j < n; j++ {
+		for i, s := range b.scalars {
+			te.scalars[j*ns+i] = s.reps[j]
 		}
 	}
-	ctx.SetsFns = make([]expr.SetLookup, len(b.sets))
-	for i := range b.sets {
-		s := b.sets[i]
-		ctx.SetsFns[i] = func(key string) bool {
-			ms := s.repsFor(key)
-			return ms != nil && ms[j]
-		}
+	m := &expr.ParamMemo{
+		Groups: make([]func(string) []types.Value, len(b.groups)),
+		Sets:   make([]func(string) []bool, len(b.sets)),
 	}
-	return ctx
+	for i, g := range b.groups {
+		m.Groups[i] = g.repsFor
+	}
+	for i, s := range b.sets {
+		m.Sets[i] = s.repsFor
+	}
+	te.ctx = &expr.Ctx{Memo: m}
+	return te
+}
+
+// row sets the row every following evaluation reads and invalidates the
+// param memo.
+func (te *trialEnv) row(r types.Row) {
+	te.ctx.Row = r
+	te.ctx.Memo.NextRow()
+}
+
+// at returns the context bound to trial j (for the current row).
+func (te *trialEnv) at(j int) *expr.Ctx {
+	te.ctx.Trial = j
+	te.ctx.Scalars = te.scalars[j*te.ns : (j+1)*te.ns]
+	return te.ctx
 }
 
 // triEnv builds the interval-semantics environment for tuple

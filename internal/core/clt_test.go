@@ -177,6 +177,9 @@ func (r *testRNG) norm() float64 {
 }
 
 func TestAdjustRep(t *testing.T) {
+	adjustRep := func(point, rep types.Value, sqrtP float64) types.Value {
+		return newShrink(point, sqrtP).apply(rep)
+	}
 	p := types.NewFloat(10)
 	r := types.NewFloat(20)
 	// p = 1 → no change

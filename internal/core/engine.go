@@ -10,7 +10,6 @@ import (
 
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/chaos"
-	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/otrace"
 	"fluodb/internal/plan"
@@ -614,19 +613,38 @@ func (e *Engine) sampled(ts *tableStream, rowIdx int) bool {
 	return bootstrap.Mix64(ts.sampleBase+uint64(rowIdx)) <= ts.sampleCut
 }
 
-// adjustRep applies the m-out-of-n bootstrap correction: replicas are
-// computed over a subsample of fraction p, so their dispersion around
-// the point estimate is √(1/p) too large; shrink deviations by √p.
-func adjustRep(point, rep types.Value, sqrtP float64) types.Value {
-	if sqrtP >= 1 {
+// shrink applies the m-out-of-n bootstrap correction around one point
+// estimate: replicas are computed over a subsample of fraction p, so
+// their dispersion around the point is √(1/p) too large; deviations
+// shrink by √p. The point's float conversion is hoisted out of the
+// per-trial loops.
+type shrink struct {
+	p, sqrtP float64
+	on       bool
+}
+
+func newShrink(point types.Value, sqrtP float64) shrink {
+	p, ok := point.AsFloat()
+	return shrink{p: p, sqrtP: sqrtP, on: ok && sqrtP < 1}
+}
+
+func (s shrink) apply(rep types.Value) types.Value {
+	if !s.on {
 		return rep
 	}
-	p, ok1 := point.AsFloat()
-	r, ok2 := rep.AsFloat()
-	if !ok1 || !ok2 {
+	r, ok := rep.AsFloat()
+	if !ok {
 		return rep
 	}
-	return types.NewFloat(p + (r-p)*sqrtP)
+	return types.NewFloat(s.applyF(r))
+}
+
+// applyF is apply on a replica already known to be a float.
+func (s shrink) applyF(r float64) float64 {
+	if !s.on {
+		return r
+	}
+	return s.p + (r-s.p)*s.sqrtP
 }
 
 // scaleFor is the multiset multiplicity m = k/i of §2.2 for a block's
@@ -1108,21 +1126,20 @@ func (e *Engine) paramRangeFor(te *triEnv, r *blockRunner, en *onlineEntry, post
 
 func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
-	entry := soleEntry(b, mainO)
 	pctx := e.bind.pointCtx(nil)
-	post := exec.PostRow(b, entry, scale)
+	post := r.pointOverlay().solePostInto(0, scale, nil)
 	pctx.Row = post
 	point := b.Select[0].Eval(pctx)
 
-	sqrtP := e.tables[b.Input.Fact].sqrtP
+	sh := newShrink(point, e.tables[b.Input.Fact].sqrtP)
+	env := e.bind.trialEnv(e.opt.Trials)
+	tos := r.trialOverlays(e.opt.Trials, env)
 	reps := make([]types.Value, e.opt.Trials)
-	for j := 0; j < e.opt.Trials; j++ {
-		o := r.overlayFor(j)
-		en := soleEntry(b, o)
-		tctx := e.bind.trialCtx(nil, j)
-		tctx.Row = exec.PostRow(b, en, scale)
-		reps[j] = adjustRep(point, b.Select[0].Eval(tctx), sqrtP)
+	var buf types.Row
+	for j := range reps {
+		buf = tos.solePostInto(j, scale, buf)
+		env.row(buf)
+		reps[j] = sh.apply(b.Select[0].Eval(env.at(j)))
 	}
 	var rng paramRange
 	if complete {
@@ -1143,19 +1160,9 @@ func (e *Engine) updateScalarBinding(r *blockRunner, scale float64, complete boo
 	return e.bind.updateScalar(b.ParamIdx, point, reps, rng)
 }
 
-// soleEntry fetches the single global-group entry of a scalar block
-// (creating an empty one when no rows qualified yet).
-func soleEntry(b *plan.Block, o *overlay) *exec.GroupEntry {
-	keys := o.keys()
-	if len(keys) == 0 {
-		return &exec.GroupEntry{States: newEntryStates(b)}
-	}
-	return o.entry(keys[0])
-}
-
 func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
+	main := r.pointOverlay()
 	pctx := e.bind.pointCtx(nil)
 	sqrtP := e.tables[b.Input.Fact].sqrtP
 	g := e.bind.groups[b.ParamIdx]
@@ -1169,12 +1176,9 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 	var postBuf types.Row
 	var rngScratch []paramRange
 	failed := false
-	for _, key := range mainO.keys() {
-		en := mainO.entry(key)
-		if en == nil {
-			continue
-		}
-		postBuf = exec.PostRowInto(b, en, scale, postBuf)
+	for _, key := range main.keys(0) {
+		s, be := main.lookup(key)
+		postBuf, _ = main.postAt(s, be, 0, scale, postBuf)
 		post := postBuf
 		pctx.Row = post
 		point := b.Select[0].Eval(pctx)
@@ -1203,36 +1207,63 @@ func (e *Engine) updateGroupBinding(r *blockRunner, scale float64, complete bool
 	return failed
 }
 
+// batchTrials lazily builds a parameter block's trial overlays for the
+// current batch on the first key probed, shared by every later key.
+type batchTrials struct {
+	r   *blockRunner
+	n   int
+	env *trialEnv
+	tos *overlays
+}
+
+func (bt *batchTrials) get() (*overlays, *trialEnv) {
+	if bt.tos == nil {
+		bt.env = bt.r.eng.bind.trialEnv(bt.n)
+		bt.tos = bt.r.trialOverlays(bt.n, bt.env)
+	}
+	return bt.tos, bt.env
+}
+
 // makeGroupRepFn builds the lazy per-group replica evaluator for the
-// current batch: trial overlays and contexts are materialized on first
-// use and shared across keys.
+// current batch. When the block is banked and its select is a slotExpr,
+// a key's vector is computed on floats read at trial stride from its
+// trial cells and base bank; otherwise each trial's post row is built in
+// one reused row and evaluated.
 func (e *Engine) makeGroupRepFn(r *blockRunner, scale, sqrtP float64) func(string) []types.Value {
 	b := r.b
-	var trialOs []*overlay
-	var tctxs []*expr.Ctx
+	bt := &batchTrials{r: r, n: e.opt.Trials}
 	g := e.bind.groups[b.ParamIdx]
+	kern, fast := compileSlotExpr(b.Select[0], len(b.GroupBy))
+	fast = fast && r.tab.banked && !kern.comparison()
+	var buf types.Row
+	var vals []slotVal
 	return func(key string) []types.Value {
-		if trialOs == nil {
-			trialOs = make([]*overlay, e.opt.Trials)
-			tctxs = make([]*expr.Ctx, e.opt.Trials)
-			for j := range trialOs {
-				trialOs[j] = r.overlayFor(j)
-				tctxs[j] = e.bind.trialCtx(nil, j)
+		tos, env := bt.get()
+		sh := newShrink(g.point[key], sqrtP) // a missing key reads as NULL
+		s, be := tos.lookup(key)
+		reps := make([]types.Value, bt.n)
+		if fast {
+			if vals == nil {
+				vals = make([]slotVal, bt.n)
 			}
+			tos.slotResults(s, be, kern.slot-len(b.GroupBy), scale, vals)
+			for j, sv := range vals {
+				reps[j] = types.Null
+				if f, null := kern.eval(sv.f, sv.null); sv.ok && !null {
+					reps[j] = types.NewFloat(sh.applyF(f))
+				}
+			}
+			return reps
 		}
-		point := types.Null
-		if v, ok := g.point[key]; ok {
-			point = v
-		}
-		reps := make([]types.Value, e.opt.Trials)
-		var buf types.Row
 		for j := range reps {
 			reps[j] = types.Null
-			if post, ok := trialOs[j].postInto(b, key, scale, buf); ok {
-				buf = post
-				tctxs[j].Row = post
-				reps[j] = adjustRep(point, b.Select[0].Eval(tctxs[j]), sqrtP)
+			post, ok := tos.postAt(s, be, j, scale, buf)
+			if !ok {
+				continue
 			}
+			buf = post
+			env.row(post)
+			reps[j] = sh.apply(b.Select[0].Eval(env.at(j)))
 		}
 		return reps
 	}
@@ -1258,26 +1289,24 @@ func (e *Engine) groupSampledSupport(r *blockRunner, key string) int {
 
 func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) bool {
 	b := r.b
-	mainO := r.overlayFor(-1)
+	main := r.pointOverlay()
 	pctx := e.bind.pointCtx(nil)
 	te := e.triEnv()
 	sb := e.bind.sets[b.ParamIdx]
 	// Per-trial membership is provided lazily: only the keys probed by
 	// snapshot error estimation pay for per-trial evaluation.
 	sb.reps = map[string][]bool{}
-	sb.repFn = e.makeSetRepFn(r, scale)
+	bt := &batchTrials{r: r, n: e.opt.Trials}
+	sb.repFn = e.makeSetRepFn(r, main, bt, scale)
 	fracSeen := 0.0
 	if ts := e.tables[b.Input.Fact]; ts.total > 0 {
 		fracSeen = float64(ts.seen) / float64(ts.total)
 	}
 	var postBuf types.Row
 	failed := false
-	for _, key := range mainO.keys() {
-		en := mainO.entry(key)
-		if en == nil {
-			continue
-		}
-		postBuf = exec.PostRowInto(b, en, scale, postBuf)
+	for _, key := range main.keys(0) {
+		s, be := main.lookup(key)
+		postBuf, _ = main.postAt(s, be, 0, scale, postBuf)
 		post := postBuf
 		// Point membership.
 		pctx.Row = post
@@ -1297,7 +1326,7 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 			default:
 				boost := sb.epsBoost
 				z := (cltZBase + e.opt.EpsilonSigma) * boost
-				te.rowRanges = e.setRowRanges(r, key, post, scale, fracSeen, z, boost, te.rowRanges)
+				te.rowRanges = e.setRowRanges(r, bt, key, post, scale, fracSeen, z, boost, te.rowRanges)
 				t = te.evalTri(b.Having, post)
 				te.rowRanges = nil
 			}
@@ -1315,7 +1344,7 @@ func (e *Engine) updateSetBinding(r *blockRunner, scale float64, complete bool) 
 // setRowRanges builds the per-slot variation ranges for a set block's
 // group: exact points for key slots, CLT ranges for estimable
 // aggregates, bootstrap replica ranges as the fallback.
-func (e *Engine) setRowRanges(r *blockRunner, key string, post types.Row, scale, fracSeen, z, boost float64, out []paramRange) []paramRange {
+func (e *Engine) setRowRanges(r *blockRunner, bt *batchTrials, key string, post types.Row, scale, fracSeen, z, boost float64, out []paramRange) []paramRange {
 	b := r.b
 	out = out[:0]
 	baseEn := r.tab.m[key]
@@ -1337,7 +1366,7 @@ func (e *Engine) setRowRanges(r *blockRunner, key string, post types.Row, scale,
 		}
 		if pr.status == rsUnknown {
 			if repVals == nil {
-				repVals = e.setRepPostValues(r, key, post, scale)
+				repVals = e.setRepPostValues(bt, key, post, scale)
 			}
 			pr = buildRangeFromFloats(post[c], repVals[c], e.opt.EpsilonSigma*boost, e.opt.Trials)
 		}
@@ -1347,15 +1376,18 @@ func (e *Engine) setRowRanges(r *blockRunner, key string, post types.Row, scale,
 }
 
 // setRepPostValues evaluates a set-block group's adjusted per-trial
-// post-aggregate values (the bootstrap fallback for non-CLT slots).
-func (e *Engine) setRepPostValues(r *blockRunner, key string, post types.Row, scale float64) [][]float64 {
-	b := r.b
-	sqrtP := e.tables[b.Input.Fact].sqrtP
+// post-aggregate values (the bootstrap fallback for non-CLT slots) from
+// the batch's shared trial overlays.
+func (e *Engine) setRepPostValues(bt *batchTrials, key string, post types.Row, scale float64) [][]float64 {
+	b := bt.r.b
+	shr := postShrinks(post, e.tables[b.Input.Fact].sqrtP, nil)
 	extensive := extensiveSlots(b)
+	tos, _ := bt.get()
+	s, be := tos.lookup(key)
 	repVals := make([][]float64, len(post))
 	var buf types.Row
-	for j := 0; j < e.opt.Trials; j++ {
-		tpost, ok := r.overlayFor(j).postInto(b, key, scale, buf)
+	for j := 0; j < bt.n; j++ {
+		tpost, ok := tos.postAt(s, be, j, scale, buf)
 		if !ok {
 			continue
 		}
@@ -1365,13 +1397,21 @@ func (e *Engine) setRepPostValues(r *blockRunner, key string, post types.Row, sc
 			if v.IsNull() && extensive[c] {
 				v = types.NewFloat(0)
 			}
-			v = adjustRep(post[c], v, sqrtP)
-			if f, ok := v.AsFloat(); ok {
+			if f, ok := shr[c].apply(v).AsFloat(); ok {
 				repVals[c] = append(repVals[c], f)
 			}
 		}
 	}
 	return repVals
+}
+
+// postShrinks builds one shrink per slot of a point post row, into out.
+func postShrinks(post types.Row, sqrtP float64, out []shrink) []shrink {
+	out = out[:0]
+	for _, v := range post {
+		out = append(out, newShrink(v, sqrtP))
+	}
+	return out
 }
 
 // extensiveSlots flags the post-aggregate slots holding SUM/COUNT: a
@@ -1388,32 +1428,59 @@ func extensiveSlots(b *plan.Block) []bool {
 }
 
 // makeSetRepFn builds the lazy per-key, per-trial membership evaluator
-// for the current batch.
-func (e *Engine) makeSetRepFn(r *blockRunner, scale float64) func(string) []bool {
+// for the current batch. main is the batch's point overlay (the
+// m-out-of-n adjustment centres on its post rows); the trial overlays
+// come from bt, shared with the bootstrap range fallback. A banked
+// block whose HAVING is a slotExpr comparison decides membership on
+// floats read at trial stride; otherwise each trial's post row is built
+// in one reused row and HAVING evaluated on it.
+func (e *Engine) makeSetRepFn(r *blockRunner, main *overlays, bt *batchTrials, scale float64) func(string) []bool {
 	b := r.b
 	sqrtP := e.tables[b.Input.Fact].sqrtP
 	extensive := extensiveSlots(b)
-	var trialOs []*overlay
-	var tctxs []*expr.Ctx
+	var kern slotExpr
+	fast := false
+	if b.Having != nil {
+		kern, fast = compileSlotExpr(b.Having, len(b.GroupBy))
+		fast = fast && r.tab.banked && kern.comparison()
+	}
+	var buf, post types.Row
+	var shr []shrink
+	var vals []slotVal
 	return func(key string) []bool {
-		if trialOs == nil {
-			trialOs = make([]*overlay, e.opt.Trials)
-			tctxs = make([]*expr.Ctx, e.opt.Trials)
-			for j := range trialOs {
-				trialOs[j] = r.overlayFor(j)
-				tctxs[j] = e.bind.trialCtx(nil, j)
+		tos, env := bt.get()
+		var adjust bool
+		ms, mbe := main.lookup(key)
+		post, adjust = main.postAt(ms, mbe, 0, scale, post)
+		if adjust {
+			shr = postShrinks(post, sqrtP, shr)
+		}
+		s, be := tos.lookup(key)
+		reps := make([]bool, bt.n)
+		if fast {
+			if vals == nil {
+				vals = make([]slotVal, bt.n)
 			}
+			c := kern.slot
+			tos.slotResults(s, be, c-len(b.GroupBy), scale, vals)
+			for j, sv := range vals {
+				if !sv.ok {
+					continue
+				}
+				f, null := sv.f, sv.null
+				if null && extensive[c] {
+					f, null = 0, false
+				}
+				if adjust && !null {
+					f = shr[c].applyF(f)
+				}
+				truth, tnull := kern.eval(f, null)
+				reps[j] = !tnull && truth != 0
+			}
+			return reps
 		}
-		// Point post row of the key, for the m-out-of-n adjustment.
-		var post types.Row
-		mainO := r.overlayFor(-1)
-		if en := mainO.entry(key); en != nil {
-			post = exec.PostRow(b, en, scale)
-		}
-		reps := make([]bool, e.opt.Trials)
-		var buf types.Row
 		for j := range reps {
-			tpost, ok := trialOs[j].postInto(b, key, scale, buf)
+			tpost, ok := tos.postAt(s, be, j, scale, buf)
 			if !ok {
 				continue
 			}
@@ -1422,12 +1489,12 @@ func (e *Engine) makeSetRepFn(r *blockRunner, scale float64) func(string) []bool
 				if buf[c].IsNull() && extensive[c] {
 					buf[c] = types.NewFloat(0)
 				}
-				if post != nil {
-					buf[c] = adjustRep(post[c], buf[c], sqrtP)
+				if adjust {
+					buf[c] = shr[c].apply(buf[c])
 				}
 			}
-			tctxs[j].Row = buf
-			reps[j] = b.Having == nil || b.Having.Eval(tctxs[j]).Truthy()
+			env.row(buf)
+			reps[j] = b.Having == nil || b.Having.Eval(env.at(j)).Truthy()
 		}
 		return reps
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fluodb/internal/bootstrap"
-	"fluodb/internal/exec"
 	"fluodb/internal/expr"
 	"fluodb/internal/types"
 )
@@ -175,8 +174,8 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 		hasCI[c] = columnIsAggregated(se, len(b.GroupBy))
 	}
 
-	mainO := rr.overlayFor(-1)
-	keys := mainO.keys()
+	main := rr.pointOverlay()
+	keys := main.keys(0)
 	// Bound the per-snapshot error-estimation work: with many output
 	// groups, compute the CIs from a prefix of the trials (trials are
 	// exchangeable, so any subset is a valid — coarser — bootstrap).
@@ -194,15 +193,9 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 			effTrials = e.opt.Trials
 		}
 	}
-	trialOs := make([]*overlay, effTrials)
-	for j := range trialOs {
-		trialOs[j] = rr.overlayFor(j)
-	}
+	env := e.bind.trialEnv(effTrials)
+	trials := rr.trialOverlays(effTrials, env)
 	pctx := e.bind.pointCtx(nil)
-	tctxs := make([]*expr.Ctx, effTrials)
-	for j := range tctxs {
-		tctxs[j] = e.bind.trialCtx(nil, j)
-	}
 	global := len(b.GroupBy) == 0
 	type scored struct {
 		cells []CellEstimate
@@ -223,8 +216,7 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	pointF := make([]float64, len(b.Select))
 	pointOk := make([]bool, len(b.Select))
 	adjust := ts.sqrtP < 1
-	emit := func(entry *exec.GroupEntry, trialPost func(j int, buf types.Row) (types.Row, bool)) {
-		post := exec.PostRow(b, entry, scale)
+	emit := func(post types.Row, trialPost func(j int, buf types.Row) (types.Row, bool)) {
 		pctx.Row = post
 		if b.Having != nil && !b.Having.Eval(pctx).Truthy() {
 			return
@@ -244,12 +236,13 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 				continue
 			}
 			tbuf = tpost
+			env.row(tpost)
+			tctx := env.at(j)
 			for c, se := range b.Select {
 				if !hasCI[c] {
 					continue
 				}
-				tctxs[j].Row = tpost
-				f, ok := se.Eval(tctxs[j]).AsFloat()
+				f, ok := se.Eval(tctx).AsFloat()
 				if !ok {
 					continue
 				}
@@ -275,19 +268,17 @@ func (e *Engine) snapshot(elapsed time.Duration) *Snapshot {
 	}
 
 	if global {
-		entry := soleEntry(b, mainO)
-		emit(entry, func(j int, buf types.Row) (types.Row, bool) {
-			return exec.PostRowInto(b, soleEntry(b, trialOs[j]), scale, buf), true
+		emit(main.solePostInto(0, scale, nil), func(j int, buf types.Row) (types.Row, bool) {
+			return trials.solePostInto(j, scale, buf), true
 		})
 	} else {
+		var post types.Row
 		for _, key := range keys {
-			entry := mainO.entry(key)
-			if entry == nil {
-				continue
-			}
-			k := key
-			emit(entry, func(j int, buf types.Row) (types.Row, bool) {
-				return trialOs[j].postInto(b, k, scale, buf)
+			ms, mbe := main.lookup(key)
+			post, _ = main.postAt(ms, mbe, 0, scale, post)
+			s, be := trials.lookup(key)
+			emit(post, func(j int, buf types.Row) (types.Row, bool) {
+				return trials.postAt(s, be, j, scale, buf)
 			})
 		}
 	}

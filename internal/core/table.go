@@ -485,6 +485,65 @@ func (t *onlineTable) trialStates(e *onlineEntry, j int) []agg.State {
 	return out
 }
 
+// postInto writes a base entry's finalized post-aggregate row
+// [keys..., results...] for trial j (j < 0 selects the main states) into
+// buf. Banked results come straight from the accumulator floats, with
+// the same per-kind results as the State views mainStates/trialStates
+// would produce — no state materialization, no per-group allocation.
+func (t *onlineTable) postInto(e *onlineEntry, j int, scale float64, buf types.Row) types.Row {
+	buf = append(buf[:0], e.key...)
+	if !t.banked {
+		states := e.main
+		if j >= 0 {
+			states = e.reps[j]
+		}
+		for _, s := range states {
+			buf = append(buf, s.Result(scale))
+		}
+		return buf
+	}
+	bw, bv, stride, trial := e.mainW, e.mainV, 1, j >= 0
+	if trial {
+		bw, bv = e.bankW[j:], e.bankV[j:]
+		stride = t.trials
+	}
+	for i, k := range t.cltKinds {
+		// Replica banks may be deduplicated across aggregates: route
+		// through the stream aliases (identity for the mains, which are
+		// always written per aggregate).
+		wi, vi := i, i
+		if trial {
+			wi, vi = t.bankW(i), t.bankV(i)
+		}
+		buf = append(buf, bankValue(k, bw[wi*stride], bv[vi*stride], scale))
+	}
+	return buf
+}
+
+// bankResult is a banked aggregate's result from its weight and value
+// accumulators — what its State view (agg.CountStateOf, SumStateOf,
+// AvgStateOf) would report; null marks SQL NULL.
+func bankResult(k cltKind, w, v, scale float64) (f float64, null bool) {
+	switch {
+	case k == cltCount:
+		return w * scale, false
+	case w == 0:
+		return 0, true
+	case k == cltSum:
+		return v * scale, false
+	default: // cltAvg
+		return v / w, false
+	}
+}
+
+// bankValue is bankResult as a Value.
+func bankValue(k cltKind, w, v, scale float64) types.Value {
+	if f, null := bankResult(k, w, v, scale); !null {
+		return types.NewFloat(f)
+	}
+	return types.Null
+}
+
 // bankW/bankV resolve aggregate i's physical replica-bank stream
 // through the alias tables (identity when no aliasing is installed).
 func (t *onlineTable) bankW(i int) int {

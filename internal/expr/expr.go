@@ -30,6 +30,11 @@ type Ctx struct {
 	// SetsFns holds membership oracles for IN-subquery placeholders,
 	// indexed by SetParam.Idx.
 	SetsFns []SetLookup
+	// Memo, when set, binds group and set params to bootstrap trial
+	// Trial through a per-row memo (see ParamMemo); Groups and SetsFns
+	// are then unused.
+	Memo  *ParamMemo
+	Trial int
 }
 
 // Expr is a bound expression.
@@ -134,6 +139,9 @@ func (p *GroupParam) KeyString(ctx *Ctx) string {
 
 // Eval implements Expr.
 func (p *GroupParam) Eval(ctx *Ctx) types.Value {
+	if ctx.Memo != nil {
+		return ctx.Memo.group(p, ctx)
+	}
 	if p.Idx < 0 || p.Idx >= len(ctx.Groups) || ctx.Groups[p.Idx] == nil {
 		return types.Null
 	}
@@ -427,6 +435,9 @@ type SetLookup func(key string) bool
 
 // Eval implements Expr. The membership function is found in Ctx.Sets.
 func (s *SetParam) Eval(ctx *Ctx) types.Value {
+	if ctx.Memo != nil {
+		return ctx.Memo.set(s, ctx)
+	}
 	x := s.X.Eval(ctx)
 	if x.IsNull() {
 		return types.Null

@@ -21,6 +21,11 @@
 #                    -race, plus a shard-kill/straggler chaos slice with
 #                    coordinator recovery (replacement incarnations and
 #                    rolling-checkpoint restores)
+#   snapshot gates   golden trajectory hashes, row-major trial overlays
+#                    equal to per-trial overlays, and snapshot allocations
+#                    flat in the trial count B
+#   perfbench        the end-to-end benchmark's own tests (a separate Go
+#                    module that the root go test ./... does not reach)
 #   benchdiff        advisory fold ns/row diff vs BENCH_fold.json
 set -eu
 cd "$(dirname "$0")/.."
@@ -134,6 +139,17 @@ echo "== shard chaos gate (go test -race ./internal/bench -run TestShardChaosGat
 # fault-free same-topology reference, recovery absorbed by the ladder
 # (re-dispatch → rolling-checkpoint restore), zero leaked goroutines.
 go test -race ./internal/bench -run TestShardChaosGate -count=1
+
+echo "== snapshot gates (golden hashes, trial-overlay property, allocs flat in B)"
+# Every snapshot value, CI bound and RSD of the pinned queries must keep
+# its recorded bits; the one-pass trial overlays must equal the
+# per-trial reference for every trial; and a Q18 refresh at B=100 must
+# allocate within a small constant of the same refresh at B=50 (run
+# without -race: its instrumentation allocates).
+go test ./internal/core -run 'TestGoldenTrajectoryHashes|TestTrialOverlaysMatchPerTrial|TestSnapshotAllocsFlatInTrials' -count=1
+
+echo "== perfbench module tests (cd perfbench && go test ./...)"
+(cd perfbench && go test ./...)
 
 echo "== benchdiff (advisory, never fails the gate)"
 sh scripts/benchdiff.sh || true
