@@ -1,4 +1,4 @@
-.PHONY: check test bench-fold bench-compare bench-snapshot perfbench audit chaos shard trace mem
+.PHONY: check test bench-fold bench-compare bench-snapshot perfbench audit chaos trace mem
 
 # Tier-1 gate: vet + build + race-enabled tests + fold alloc regression.
 check:
@@ -42,13 +42,6 @@ audit:
 # no goroutine may leak. Scale with ARGS="-schedules 5000".
 chaos:
 	go run ./cmd/flbench -experiment chaos $(ARGS)
-
-# Sharded execution sweep: fold throughput through the coordinator at
-# N∈{1,2,4,8} shard engines vs the unsharded baseline, every topology
-# verified bit-identical (the command fails on divergence). Record into
-# BENCH_fold.json with ARGS="-json BENCH_fold.json -label <name>".
-shard:
-	go run ./cmd/flbench -experiment shard $(ARGS)
 
 # Memory observability: per-pool ledger residency across scenarios and
 # worker counts, GC telemetry, and a forced walk down the MaxMemoryBytes

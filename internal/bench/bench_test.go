@@ -240,7 +240,7 @@ func TestAsciiChart(t *testing.T) {
 // times over, small enough to run under -race in the tier-1 suite. The
 // full soak is `flbench -experiment chaos` (or `make chaos`).
 func TestChaosGate(t *testing.T) {
-	n := 90 // covers the 11-profile × 3-mode × 2-query rotation
+	n := 90 // covers the 7-profile × 3-mode × 2-query rotation twice over
 	if testing.Short() {
 		n = 33
 	}
@@ -264,35 +264,5 @@ func TestChaosGate(t *testing.T) {
 	out := FormatChaos(res)
 	if !strings.Contains(out, "bit-identical") {
 		t.Fatalf("FormatChaos output malformed:\n%s", out)
-	}
-}
-
-// TestShardChaosGate is the sharded slice of the soak: 60 schedules of
-// shard kills, stragglers, and mixes, every one run through the
-// coordinator and checked bit-identical against the fault-free
-// unsharded row-path reference — across plain, cancel+resume, and
-// checkpoint round-trip modes. Shard deaths must be absorbed by the
-// recovery ladder (replacement incarnations, then rolling-checkpoint
-// restores), never surfacing to the caller.
-func TestShardChaosGate(t *testing.T) {
-	n := 60 // covers 4 shard profiles × 3 modes × 2 queries repeatedly
-	if testing.Short() {
-		n = 24
-	}
-	res, err := ShardChaosSoak(tiny, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BitIdentical != res.Schedules {
-		t.Fatalf("%d/%d schedules bit-identical", res.BitIdentical, res.Schedules)
-	}
-	if res.FaultCounts["shard-kill"] == 0 {
-		t.Fatal("soak fired no shard kills")
-	}
-	if res.FaultCounts["shard-straggler"] == 0 {
-		t.Fatal("soak fired no shard stragglers")
-	}
-	if res.CheckpointRoundTrips == 0 || res.CancelResumes == 0 {
-		t.Fatalf("modes not exercised: %+v", res.ModeCounts)
 	}
 }

@@ -24,18 +24,13 @@ import (
 // seed replays the exact same faults at the exact same (batch, worker)
 // sites, so any failure is reproducible in isolation.
 
-// chaosProfile is one fault mix. shards > 0 runs the schedule on a
-// sharded topology (coordinator + N shard engines, core's Options.Shards)
-// instead of the worker pool alone, so the bit-identity check also
-// covers the coordinator's merge and its kill/recover ladder.
+// chaosProfile is one fault mix.
 type chaosProfile struct {
-	name   string
-	shards int
-	cfg    chaos.Config
+	name string
+	cfg  chaos.Config
 }
 
-// chaosProfiles are the pool-runtime fault mixes the soak rotates
-// through.
+// chaosProfiles are the fault mixes the soak rotates through.
 var chaosProfiles = []chaosProfile{
 	{name: "panic", cfg: chaos.Config{PanicProb: 0.3}},
 	{name: "straggler", cfg: chaos.Config{StragglerProb: 0.5, StragglerDelay: 50 * time.Microsecond}},
@@ -61,28 +56,6 @@ var chaosProfiles = []chaosProfile{
 	// segments must reproduce it bit for bit.
 	{name: "segseal", cfg: chaos.Config{SegSealDropProb: 0.5, PrefetchDropProb: 0.25}},
 }
-
-// shardChaosProfiles are the sharded-topology fault mixes: injected
-// shard deaths (recovered by replacement incarnations and, when a
-// slice exhausts its retry budget, by a rolling-checkpoint restore),
-// shard stragglers (benign for correctness — the coordinator merges in
-// shard order regardless of completion order), and a mix layering
-// prefetch drops on top. Kill probabilities are chosen so rung 1
-// absorbs nearly every death (a slice is lost only after 4 consecutive
-// kills across incarnations, ~p⁴) while still firing kills in most
-// schedules.
-var shardChaosProfiles = []chaosProfile{
-	{name: "shard-kill", shards: 2, cfg: chaos.Config{ShardKillProb: 0.2}},
-	{name: "shard-kill-wide", shards: 4, cfg: chaos.Config{ShardKillProb: 0.2}},
-	{name: "shard-straggler", shards: 4, cfg: chaos.Config{ShardStragglerProb: 0.5,
-		StragglerDelay: 50 * time.Microsecond}},
-	{name: "shard-mixed", shards: 4, cfg: chaos.Config{ShardKillProb: 0.15,
-		ShardStragglerProb: 0.2, PrefetchDropProb: 0.25, StragglerDelay: 50 * time.Microsecond}},
-}
-
-// allChaosProfiles is the full rotation `flbench -experiment chaos`
-// runs: pool faults and shard faults interleaved.
-var allChaosProfiles = append(append([]chaosProfile{}, chaosProfiles...), shardChaosProfiles...)
 
 // chaosModes are the run shapes: a plain run compared snapshot-for-
 // snapshot; a deadline cancellation mid-prefix followed by a resume; a
@@ -115,39 +88,10 @@ type ChaosResult struct {
 
 // chaosEnv is the fixed workload the soak runs every schedule against.
 type chaosEnv struct {
-	cat       *storage.Catalog
-	qs        []*plan.Query
-	refs      [][]*core.Snapshot // fault-free reference snapshots per query
-	shardRefs map[[2]int][]*core.Snapshot
-	opt       core.Options
-}
-
-// refFor returns the fault-free reference trajectory for query qi on
-// the given topology. Unsharded schedules check against the row-path
-// reference (a cross-path equivalence check). Sharded schedules check
-// against a fault-free run of the same topology, built on demand and
-// cached: bootstrap trial sums are float folds whose leaf partition is
-// the shard×worker split, so an N-shard run matches an unsharded run
-// only up to the last ulp of the CI/RSD statistics on this catalog.
-// (The exact-arithmetic fixtures in core's shard tests pin the full
-// sharded-vs-unsharded bit-identity; here the soak's claim is that
-// faults never perturb the sharded trajectory at all.)
-func (env *chaosEnv) refFor(qi, shards int) ([]*core.Snapshot, error) {
-	if shards == 0 {
-		return env.refs[qi], nil
-	}
-	key := [2]int{qi, shards}
-	if ref, ok := env.shardRefs[key]; ok {
-		return ref, nil
-	}
-	opt := env.opt
-	opt.Shards = shards
-	ref, err := runAll(env.qs[qi], env.cat, opt)
-	if err != nil {
-		return nil, fmt.Errorf("building N=%d reference for query %d: %w", shards, qi, err)
-	}
-	env.shardRefs[key] = ref
-	return ref, nil
+	cat  *storage.Catalog
+	qs   []*plan.Query
+	refs [][]*core.Snapshot // fault-free reference snapshots per query
+	opt  core.Options
 }
 
 func chaosBase(cfg Config) (*chaosEnv, error) {
@@ -161,7 +105,6 @@ func chaosBase(cfg Config) (*chaosEnv, error) {
 			Batches: 4, Trials: 16, Seed: cfg.EngineSeed(),
 			Parallelism: 4, ParallelThreshold: 64,
 		},
-		shardRefs: map[[2]int][]*core.Snapshot{},
 	}
 	// References run fault-free on the legacy row-at-a-time fold path;
 	// scheduled runs use the default (columnar) path. Every bit-identical
@@ -217,22 +160,18 @@ func snapsEqual(a, b []*core.Snapshot) error {
 }
 
 // runSchedule executes one seeded schedule and verifies its contract.
-func runSchedule(env *chaosEnv, profs []chaosProfile, i int, r *ChaosResult) error {
-	prof := profs[i%len(profs)]
-	mode := chaosModes[(i/len(profs))%len(chaosModes)]
-	qi := (i / (len(profs) * len(chaosModes))) % len(env.qs)
+func runSchedule(env *chaosEnv, i int, r *ChaosResult) error {
+	prof := chaosProfiles[i%len(chaosProfiles)]
+	mode := chaosModes[(i/len(chaosProfiles))%len(chaosModes)]
+	qi := (i / (len(chaosProfiles) * len(chaosModes))) % len(env.qs)
 	q := env.qs[qi]
-	ref, err := env.refFor(qi, prof.shards)
-	if err != nil {
-		return err
-	}
+	ref := env.refs[qi]
 
 	ccfg := prof.cfg
 	ccfg.Seed = uint64(i)*0x9E3779B97F4A7C15 + 1
 	inj := chaos.New(ccfg)
 	opt := env.opt
 	opt.Chaos = inj
-	opt.Shards = prof.shards
 	var spans *otrace.Tracer
 	if prof.name == "mixed" {
 		spans = otrace.NewTracer(0)
@@ -367,28 +306,13 @@ func runSchedule(env *chaosEnv, profs []chaosProfile, i int, r *ChaosResult) err
 }
 
 // ChaosSoak runs the given number of seeded fault schedules across the
-// full profile rotation (pool and shard faults) and fails on the first
-// contract violation: a non-bit-identical answer, a mis-typed error, a
-// broken checkpoint round-trip, or leaked goroutines.
+// profile rotation and fails on the first contract violation: a
+// non-bit-identical answer, a mis-typed error, a broken checkpoint
+// round-trip, or leaked goroutines.
 func ChaosSoak(cfg Config, schedules int) (*ChaosResult, error) {
 	if schedules <= 0 {
 		schedules = 1000
 	}
-	return soak(cfg, schedules, allChaosProfiles)
-}
-
-// ShardChaosSoak is the soak restricted to the sharded-topology
-// profiles: every schedule runs through the coordinator, so kills,
-// replacement incarnations, and checkpoint restores dominate. This is
-// the CI gate's target (TestShardChaosGate).
-func ShardChaosSoak(cfg Config, schedules int) (*ChaosResult, error) {
-	if schedules <= 0 {
-		schedules = 60
-	}
-	return soak(cfg, schedules, shardChaosProfiles)
-}
-
-func soak(cfg Config, schedules int, profs []chaosProfile) (*ChaosResult, error) {
 	env, err := chaosBase(cfg)
 	if err != nil {
 		return nil, err
@@ -402,7 +326,7 @@ func soak(cfg Config, schedules int, profs []chaosProfile) (*ChaosResult, error)
 	r.GoroutinesBefore = testutil.GoroutineBaseline()
 	start := time.Now()
 	for i := 0; i < schedules; i++ {
-		if err := runSchedule(env, profs, i, r); err != nil {
+		if err := runSchedule(env, i, r); err != nil {
 			return r, err
 		}
 	}
@@ -426,12 +350,11 @@ func FormatChaos(r *ChaosResult) string {
 	fmt.Fprintf(&b, "  span-traced runs:       %d (exports validated)\n", r.SpanRuns)
 	fmt.Fprintf(&b, "  goroutines before/after: %d/%d\n", r.GoroutinesBefore, r.GoroutinesAfter)
 	b.WriteString("  faults fired:\n")
-	for _, k := range []string{"panic", "straggler", "corrupt", "prefetch-drop", "segseal",
-		"shard-kill", "shard-straggler"} {
+	for _, k := range []string{"panic", "straggler", "corrupt", "prefetch-drop", "segseal"} {
 		fmt.Fprintf(&b, "    %-15s %d\n", k, r.FaultCounts[k])
 	}
 	b.WriteString("  schedules by profile:")
-	for _, p := range allChaosProfiles {
+	for _, p := range chaosProfiles {
 		if n := r.Profiles[p.name]; n > 0 {
 			fmt.Fprintf(&b, " %s=%d", p.name, n)
 		}

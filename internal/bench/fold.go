@@ -46,12 +46,10 @@ type FoldBaseline struct {
 }
 
 // ScalingPoint is one parallel-scaling measurement: a fold scenario run
-// at a fixed worker count under either the persistent worker pool
-// ("pool") or the legacy per-batch goroutine-spawn runtime ("spawn").
+// on the persistent worker pool at a fixed worker count.
 type ScalingPoint struct {
 	Scenario    string  `json:"scenario"`
 	Parallelism int     `json:"parallelism"`
-	Runtime     string  `json:"runtime"` // "pool" | "spawn"
 	Rows        int     `json:"rows"`
 	NsPerRow    float64 `json:"ns_per_row"`
 	RowsPerSec  float64 `json:"rows_per_sec"`
@@ -60,15 +58,13 @@ type ScalingPoint struct {
 // FoldResult is the BENCH_fold.json document: the current measurement
 // plus every previous "current" this file has carried, so successive
 // PRs accumulate a perf trajectory. Scaling holds the parallel-scaling
-// series (P sweep, pool vs spawn) and Sharding the shard-topology
-// sweep (N shard engines behind the coordinator) of the current label.
+// series (P sweep) of the current label.
 type FoldResult struct {
 	GeneratedBy string         `json:"generated_by"`
 	GoVersion   string         `json:"go_version"`
 	Label       string         `json:"label"`
 	Current     []FoldPoint    `json:"current"`
 	Scaling     []ScalingPoint `json:"scaling,omitempty"`
-	Sharding    []ShardPoint   `json:"sharding,omitempty"`
 	Baselines   []FoldBaseline `json:"baselines,omitempty"`
 }
 
@@ -173,14 +169,11 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 	return out, nil
 }
 
-// ScalingBench sweeps the mini-batch runtime across worker counts
-// P∈{1,2,4,8}, comparing the persistent worker pool (cross-batch shard
-// reuse + parallel reclassification + pipelined weight prefetch)
-// against the legacy per-batch goroutine-spawn path on the sampled-all
-// scenarios (every tuple folds into all B replicas — the configuration
-// where per-batch shard setup cost is proportionally smallest, i.e. the
-// hardest one for the pool to win). ParallelThreshold is lowered to 512
-// so all worker counts engage on cfg.Rows/cfg.Batches-row batches.
+// ScalingBench sweeps the persistent worker pool (cross-batch shard
+// reuse + parallel reclassification + pipelined weight prefetch) across
+// worker counts P∈{1,2,4,8} on the sampled-all scenarios (every tuple
+// folds into all B replicas). ParallelThreshold is lowered to 512 so
+// all worker counts engage on cfg.Rows/cfg.Batches-row batches.
 func ScalingBench(cfg Config) ([]ScalingPoint, error) {
 	cfg = cfg.WithDefaults()
 	scenarios := []struct {
@@ -190,50 +183,40 @@ func ScalingBench(cfg Config) ([]ScalingPoint, error) {
 		{"single-key/sampled-all", `SELECT a, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a`},
 		{"multi-key/sampled-all", `SELECT a, b, COUNT(x), SUM(x), AVG(x) FROM facts GROUP BY a, b`},
 	}
-	runtimes := []struct {
-		name  string
-		spawn bool
-	}{
-		{"pool", false},
-		{"spawn", true},
-	}
 	cat := foldBenchCatalog(cfg.Rows, cfg.EngineSeed())
 	var out []ScalingPoint
 	for _, sc := range scenarios {
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, rt := range runtimes {
-				best := time.Duration(0)
-				for rep := 0; rep < FoldReps; rep++ {
-					q, err := plan.Compile(sc.sql, cat)
-					if err != nil {
-						return nil, fmt.Errorf("bench scaling %s: %w", sc.name, err)
-					}
-					eng, err := core.New(q, cat, core.Options{
-						Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
-						BootstrapSampleCap: -1,
-						Parallelism:        p, ParallelThreshold: 512,
-						PerBatchSpawn: rt.spawn,
-					})
-					if err != nil {
-						return nil, err
-					}
-					t0 := time.Now()
-					_, err = eng.Run(nil)
-					d := time.Since(t0)
-					eng.Close()
-					if err != nil {
-						return nil, err
-					}
-					if best == 0 || d < best {
-						best = d
-					}
+			best := time.Duration(0)
+			for rep := 0; rep < FoldReps; rep++ {
+				q, err := plan.Compile(sc.sql, cat)
+				if err != nil {
+					return nil, fmt.Errorf("bench scaling %s: %w", sc.name, err)
 				}
-				ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
-				out = append(out, ScalingPoint{
-					Scenario: sc.name, Parallelism: p, Runtime: rt.name,
-					Rows: cfg.Rows, NsPerRow: ns, RowsPerSec: 1e9 / ns,
+				eng, err := core.New(q, cat, core.Options{
+					Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
+					BootstrapSampleCap: -1,
+					Parallelism:        p, ParallelThreshold: 512,
 				})
+				if err != nil {
+					return nil, err
+				}
+				t0 := time.Now()
+				_, err = eng.Run(nil)
+				d := time.Since(t0)
+				eng.Close()
+				if err != nil {
+					return nil, err
+				}
+				if best == 0 || d < best {
+					best = d
+				}
 			}
+			ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
+			out = append(out, ScalingPoint{
+				Scenario: sc.name, Parallelism: p,
+				Rows: cfg.Rows, NsPerRow: ns, RowsPerSec: 1e9 / ns,
+			})
 		}
 	}
 	return out, nil
@@ -257,7 +240,6 @@ func WriteFoldJSON(path, label string, points []FoldPoint) error {
 			res.Baselines = append(old.Baselines, FoldBaseline{Label: old.Label, Points: old.Current})
 			if old.Label == label {
 				res.Scaling = old.Scaling
-				res.Sharding = old.Sharding
 			}
 		}
 	}
@@ -282,40 +264,12 @@ func WriteScalingJSON(path, label string, points []ScalingPoint) error {
 		if err := json.Unmarshal(prev, &old); err == nil {
 			res.Current = old.Current
 			res.Baselines = old.Baselines
-			res.Sharding = old.Sharding
 			if label == "" {
 				res.Label = old.Label
 			}
 		}
 	}
 	res.Scaling = points
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// WriteShardJSON installs the shard-topology sweep into an existing (or
-// fresh) BENCH_fold.json, leaving every other series untouched.
-func WriteShardJSON(path, label string, points []ShardPoint) error {
-	res := FoldResult{
-		GeneratedBy: "cmd/flbench -experiment fold",
-		GoVersion:   runtime.Version(),
-		Label:       label,
-	}
-	if prev, err := os.ReadFile(path); err == nil {
-		var old FoldResult
-		if err := json.Unmarshal(prev, &old); err == nil {
-			res.Current = old.Current
-			res.Baselines = old.Baselines
-			res.Scaling = old.Scaling
-			if label == "" {
-				res.Label = old.Label
-			}
-		}
-	}
-	res.Sharding = points
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
@@ -374,27 +328,24 @@ func FormatFold(points []FoldPoint) string {
 }
 
 // FormatScaling renders the parallel-scaling series as an aligned
-// table, pairing pool and spawn rows per (scenario, P) with the pool's
-// advantage.
+// table, with each P's speed-up over the same scenario at P=1.
 func FormatScaling(points []ScalingPoint) string {
-	s := "Parallel scaling (sampled-all, ParallelThreshold=512, best of reps)\n"
-	s += fmt.Sprintf("%-26s %4s %10s %12s %14s %10s\n",
-		"scenario", "P", "runtime", "ns/row", "rows/sec", "pool vs spawn")
-	spawn := map[string]float64{}
+	s := "Parallel scaling (worker pool, sampled-all, ParallelThreshold=512, best of reps)\n"
+	s += fmt.Sprintf("%-26s %4s %12s %14s %10s\n",
+		"scenario", "P", "ns/row", "rows/sec", "vs P=1")
+	serial := map[string]float64{}
 	for _, p := range points {
-		if p.Runtime == "spawn" {
-			spawn[fmt.Sprintf("%s/%d", p.Scenario, p.Parallelism)] = p.NsPerRow
+		if p.Parallelism == 1 {
+			serial[p.Scenario] = p.NsPerRow
 		}
 	}
 	for _, p := range points {
-		adv := ""
-		if p.Runtime == "pool" {
-			if sp, ok := spawn[fmt.Sprintf("%s/%d", p.Scenario, p.Parallelism)]; ok && p.NsPerRow > 0 {
-				adv = fmt.Sprintf("%+.1f%%", 100*(sp-p.NsPerRow)/p.NsPerRow)
-			}
+		speedup := ""
+		if s1, ok := serial[p.Scenario]; ok && p.NsPerRow > 0 {
+			speedup = fmt.Sprintf("%.2fx", s1/p.NsPerRow)
 		}
-		s += fmt.Sprintf("%-26s %4d %10s %12.1f %14.0f %10s\n",
-			p.Scenario, p.Parallelism, p.Runtime, p.NsPerRow, p.RowsPerSec, adv)
+		s += fmt.Sprintf("%-26s %4d %12.1f %14.0f %10s\n",
+			p.Scenario, p.Parallelism, p.NsPerRow, p.RowsPerSec, speedup)
 	}
 	return s
 }

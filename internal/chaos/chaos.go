@@ -40,13 +40,6 @@ const (
 	// forcing an incremental re-encode plus kernel recompilation on the
 	// segment-seal seam.
 	KindSegSeal
-	// KindShardKill kills a shard engine mid-dispatch: the shard
-	// goroutine exits without producing its delta, exercising the
-	// coordinator's re-dispatch → checkpoint-restore recovery ladder.
-	KindShardKill
-	// KindShardStraggler delays a shard engine's mini-batch step,
-	// simulating an overloaded or slow shard behind the coordinator.
-	KindShardStraggler
 
 	numKinds int = iota
 )
@@ -66,10 +59,6 @@ func (k Kind) String() string {
 		return "prefetch-drop"
 	case KindSegSeal:
 		return "segseal"
-	case KindShardKill:
-		return "shard-kill"
-	case KindShardStraggler:
-		return "shard-straggler"
 	}
 	return fmt.Sprintf("chaos.Kind(%d)", int(k))
 }
@@ -98,17 +87,6 @@ type Config struct {
 	// block's columnar segment cache is dropped before the batch feeds,
 	// exercising incremental re-encode + kernel recompile mid-query.
 	SegSealDropProb float64
-	// ShardKillProb is the per-(table, batch, shard, incarnation)
-	// probability that a shard engine dies mid-dispatch. The incarnation
-	// is part of the site, so a replacement shard redoing the same slice
-	// draws a fresh variate — probability 1 therefore kills every
-	// incarnation and exhausts the coordinator's whole recovery ladder.
-	ShardKillProb float64
-	// ShardStragglerProb is the per-(table, batch, shard, incarnation)
-	// probability that a shard engine sleeps StragglerDelay before its
-	// step (benign for correctness: the coordinator merges deltas in
-	// shard order regardless of arrival order).
-	ShardStragglerProb float64
 	// StragglerDelay is how long an injected straggler sleeps
 	// (default 100µs — long enough to reorder goroutine scheduling,
 	// short enough for thousand-schedule soaks).
@@ -158,8 +136,6 @@ const (
 	saltPrefetch  = 0x27D4EB2F165667C5
 	saltReclass   = 0x85EBCA77C2B2AE63
 	saltSegSeal   = 0xA0761D6478BD642F
-	saltShardKill = 0xD6E8FEB86659FD93
-	saltShardSlow = 0x2545F4914F6CDD1D
 )
 
 // siteHash folds a fault-site coordinate into one word. name
@@ -223,42 +199,6 @@ func (in *Injector) PrefetchDrop(table string, batch int) bool {
 	}
 	if in.decide(siteHash(saltPrefetch, table, batch, 0), in.cfg.PrefetchDropProb) {
 		in.counts[KindPrefetchDrop].Add(1)
-		return true
-	}
-	return false
-}
-
-// shardSite packs a shard coordinate into the siteHash b slot. The
-// incarnation advances on every respawn (and every checkpoint-restore
-// epoch), so the kill decision for a redone slice is an independent
-// draw from the one that killed its predecessor.
-func shardSite(shard, incarnation int) int {
-	return shard<<16 | (incarnation & 0xFFFF)
-}
-
-// ShardKill reports whether the shard engine (shard, incarnation)
-// should die while stepping the mini-batch starting at global row index
-// start of table. Deterministic and side-effect-free apart from the
-// fire counter, like every other decision.
-func (in *Injector) ShardKill(table string, start, shard, incarnation int) bool {
-	if in == nil {
-		return false
-	}
-	if in.decide(siteHash(saltShardKill, table, start, shardSite(shard, incarnation)), in.cfg.ShardKillProb) {
-		in.counts[KindShardKill].Add(1)
-		return true
-	}
-	return false
-}
-
-// ShardStraggler reports whether the shard engine (shard, incarnation)
-// should sleep before stepping the mini-batch starting at start.
-func (in *Injector) ShardStraggler(table string, start, shard, incarnation int) bool {
-	if in == nil {
-		return false
-	}
-	if in.decide(siteHash(saltShardSlow, table, start, shardSite(shard, incarnation)), in.cfg.ShardStragglerProb) {
-		in.counts[KindShardStraggler].Add(1)
 		return true
 	}
 	return false

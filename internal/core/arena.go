@@ -71,8 +71,3 @@ func (a *weightArena) adopt(o *weightArena) {
 	a.bytes += o.bytes
 	o.chunks, o.cur, o.bytes = nil, nil, 0
 }
-
-// uncertainBufPool recycles worker uncertain-row buffers across batches.
-var uncertainBufPool = sync.Pool{
-	New: func() any { return new([]uncertainRow) },
-}

@@ -73,27 +73,11 @@ type Options struct {
 	// Lower it to engage more workers on small batches (the scaling
 	// bench sweeps it); raise it when per-tuple work is very cheap.
 	ParallelThreshold int
-	// Shards routes every mini-batch through N shard engines behind the
-	// coordinator (coordinator.go): the batch splits into N contiguous
-	// row slices, each folded by one shard (with up to Parallelism-way
-	// parallelism inside the shard) and merged back in shard order. 0 =
-	// unsharded (the engine folds batches itself). The N-shard trajectory
-	// is bit-identical to the unsharded run for any N; a shard death is
-	// recovered by the coordinator's ladder (replacement re-dispatch,
-	// then checkpoint restore), so Shards is operational like
-	// Parallelism — it may differ between a checkpoint and its resume.
-	Shards int
 	// RowPath disables the columnar fold path (columnar.go), forcing the
 	// row-oriented per-tuple loop even for eligible blocks. The two paths
 	// are bit-identical by construction; this is the A/B switch the
 	// benchmarks and the bit-identity tests compare against.
 	RowPath bool
-	// PerBatchSpawn selects the legacy parallel runtime that spawns
-	// fresh goroutines and allocates fresh shard tables every mini-batch
-	// instead of using the persistent worker pool. Kept as the A/B
-	// baseline for the scaling benchmark; it also disables uncertain-set
-	// reclassification parallelism and weight prefetch.
-	PerBatchSpawn bool
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Profile enables fine-grained phase timing inside the per-tuple
@@ -170,9 +154,6 @@ func (o Options) Validate() error {
 	if o.ParallelThreshold < 0 {
 		return bad("ParallelThreshold", o.ParallelThreshold)
 	}
-	if o.Shards < 0 {
-		return bad("Shards", o.Shards)
-	}
 	if o.MaxUncertainRows < 0 {
 		return bad("MaxUncertainRows", o.MaxUncertainRows)
 	}
@@ -246,16 +227,6 @@ type Metrics struct {
 	DegradeRung  int
 	GCPauseNS    int64
 	GCCycles     int64
-	// Sharded-execution counters (coordinator.go): Shards is the
-	// configured topology width (0 = unsharded); ShardKills counts slices
-	// whose shard died or failed mid-fold; ShardRespawns counts
-	// replacement incarnations spawned by recovery rung 1; ShardRestores
-	// counts rung-2 checkpoint restores (whole-topology respawn + roll
-	// back to the last committed batch).
-	Shards        int
-	ShardKills    int64
-	ShardRespawns int64
-	ShardRestores int64
 	// Phases is the cumulative per-phase time breakdown across the run;
 	// PhasePerBatch holds one breakdown per processed batch (aligned
 	// with BatchDurations). Fine phases require Options.Profile.
@@ -310,12 +281,6 @@ type Engine struct {
 	pool     *workerPool
 	closed   bool
 	prefetch map[string]*weightPrefetch
-	// Sharded execution (coordinator.go / shard.go): coord owns the
-	// shard topology when Options.Shards > 0; shardCkpt is the rolling
-	// checkpoint of the last committed batch that recovery rung 2
-	// restores from.
-	coord     *shardCoordinator
-	shardCkpt []byte
 	// Fault surfaces: fatal latches a QueryError that exhausted
 	// containment (the engine refuses further Steps); lastSnap is the
 	// most recent committed snapshot, returned as the bounded-time
@@ -531,10 +496,6 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 			e.bind.setBlocks[r.b.ParamIdx] = r.b.ID
 		}
 	}
-	if opt.Shards > 0 {
-		e.coord = newShardCoordinator(e, opt.Shards)
-		e.metrics.Shards = opt.Shards
-	}
 	return e, nil
 }
 
@@ -668,10 +629,23 @@ func (e *Engine) Step() (*Snapshot, error) {
 // snapshot — marked Interrupted, with its CI intact — alongside a typed
 // ErrKindInterrupted error. The engine itself is not poisoned: a later
 // StepContext with a live context resumes where the prefix stopped.
-func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
+//
+// A panic on the controller goroutine (a UDF failing during a serial
+// fold, reclassification or snapshot) surfaces as the same typed
+// worker-panic error a parallel fold raises once its serial retries are
+// exhausted, and is latched like it: the engine refuses further Steps.
+func (e *Engine) StepContext(ctx context.Context) (snap *Snapshot, err error) {
 	if e.fatal != nil {
 		return nil, e.fatal
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			qe := &QueryError{Kind: ErrKindWorkerPanic, Batch: e.batch, Worker: -1,
+				Note: "controller panic: " + panicNote(v)}
+			e.fatal = qe
+			snap, err = nil, qe
+		}
+	}()
 	if e.Done() {
 		return nil, ErrDone
 	}
@@ -697,44 +671,36 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 		}
 	}
 	start := time.Now()
-	// Shard recovery loop (rungs 2–3 of the coordinator's ladder;
-	// coordinator.go). Unsharded engines take exactly one iteration: the
-	// only error that re-enters the loop is a *shardDown, which only the
-	// coordinator produces. After a bounded number of checkpoint restores
-	// the shard is declared lost.
-	restores := 0
-	for perr := e.stepOnce(); perr != nil; {
-		var sd *shardDown
-		if !errors.As(perr, &sd) {
-			e.fatal = perr
-			return nil, perr
+	ok, perr := e.processBatch(e.batch)
+	if perr != nil {
+		e.fatal = perr
+		return nil, perr
+	}
+	if !ok {
+		// Variation-range failure: recompute over all data seen so far
+		// with re-widened ranges (§3.2). The controller replays the
+		// processed prefix; per-tuple resamples are regenerated
+		// deterministically so the statistics are unchanged.
+		e.metrics.Recomputes++
+		e.trace.Emit(Event{Kind: EvRecompute, Note: "variation-range failure; replaying processed prefix"})
+		rs := time.Now()
+		rsp := e.sctl.Begin("recompute", e.spanQuery, e.batch+1, -1)
+		oldTop := e.spanTop
+		e.spanTop = rsp
+		rerr := e.replayUpTo(e.batch)
+		e.spanTop = oldTop
+		e.sctl.End(rsp)
+		e.stepAcc.ns[phaseRecompute] += int64(time.Since(rs))
+		if rerr != nil {
+			e.fatal = rerr
+			return nil, rerr
 		}
-		if restores >= maxShardRestores {
-			qe := &QueryError{Kind: ErrKindShardLost, Batch: e.batch,
-				Worker: sd.shard, Err: sd.cause,
-				Note: fmt.Sprintf("recovery ladder exhausted after %d checkpoint restores", restores)}
-			e.fatal = qe
-			return nil, qe
-		}
-		restores++
-		if rerr := e.shardRestore(sd, restores); rerr != nil {
-			perr = rerr // classify the restore failure on the next pass
-			continue
-		}
-		perr = e.stepOnce()
 	}
 	e.batch++
 	e.metrics.Batches = e.batch
 	dur := time.Since(start)
 	e.metrics.BatchDurations = append(e.metrics.BatchDurations, dur)
 	e.metrics.UncertainPerBatch = append(e.metrics.UncertainPerBatch, e.UncertainRows())
-	if e.coord != nil {
-		// Roll the recovery checkpoint forward to the state just
-		// committed, so a later shard loss redoes at most one batch.
-		if ck, cerr := e.Checkpoint(); cerr == nil {
-			e.shardCkpt = ck
-		}
-	}
 
 	// Flush this batch's phase accumulators: per-runner scratch into the
 	// cumulative per-block profiles and the batch total. Replay work is
@@ -752,7 +718,7 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 
 	ss := time.Now()
 	ssp := e.sctl.Begin("snapshot", e.spanQuery, e.batch, -1)
-	snap := e.snapshot(dur)
+	snap = e.snapshot(dur)
 	e.sctl.End(ssp)
 	bp.ns[phaseSnapshot] += int64(time.Since(ss))
 	e.cumAcc.merge(&bp)
@@ -769,65 +735,6 @@ func (e *Engine) StepContext(ctx context.Context) (*Snapshot, error) {
 	}
 	e.lastSnap = snap
 	return snap, nil
-}
-
-// stepOnce runs the current mini-batch once: feed every block, and on a
-// variation-range failure recompute over all data seen so far with
-// re-widened ranges (§3.2) — the controller replays the processed
-// prefix; per-tuple resamples are regenerated deterministically so the
-// statistics are unchanged. Extracted from StepContext so the shard
-// recovery loop can redo the whole batch after a checkpoint restore.
-func (e *Engine) stepOnce() error {
-	ok, perr := e.processBatch(e.batch)
-	if perr != nil {
-		return perr
-	}
-	if !ok {
-		e.metrics.Recomputes++
-		e.trace.Emit(Event{Kind: EvRecompute, Note: "variation-range failure; replaying processed prefix"})
-		rs := time.Now()
-		rsp := e.sctl.Begin("recompute", e.spanQuery, e.batch+1, -1)
-		oldTop := e.spanTop
-		e.spanTop = rsp
-		rerr := e.replayUpTo(e.batch)
-		e.spanTop = oldTop
-		e.sctl.End(rsp)
-		e.stepAcc.ns[phaseRecompute] += int64(time.Since(rs))
-		if rerr != nil {
-			return rerr
-		}
-	}
-	return nil
-}
-
-// shardRestore is recovery rung 2: the whole shard topology respawns
-// under a fresh incarnation epoch and the engine's online state rolls
-// back to the last committed mini-batch — from the rolling checkpoint
-// when one exists, else by deterministic replay of the committed prefix
-// (which before the first commit collapses to a clean reset). The
-// caller then redoes the current batch; because every statistic is a
-// counter-based function of committed state, the redone trajectory is
-// identical to an undisturbed run (DESIGN.md §17).
-func (e *Engine) shardRestore(sd *shardDown, attempt int) error {
-	e.metrics.ShardRestores++
-	e.trace.Emit(Event{Kind: EvShardRestore, Worker: sd.shard, Kept: attempt,
-		Note: fmt.Sprintf("restoring committed batch %d after: %v", e.batch, sd.cause)})
-	e.coord.respawnAll()
-	e.invalidatePrefetch()
-	if e.shardCkpt == nil {
-		// replayUpTo resets all online state before reprocessing, so this
-		// is the no-checkpoint fallback and the batch-0 clean reset both.
-		return e.replayUpTo(e.batch - 1)
-	}
-	// restore expects construction-fresh state (it only overwrites).
-	e.bind.reset()
-	for _, r := range e.runners {
-		r.reset()
-	}
-	for _, ts := range e.tables {
-		ts.seen = 0
-	}
-	return e.restore(e.shardCkpt)
 }
 
 // boundedSnapshot materializes the bounded-time answer for an
@@ -953,12 +860,7 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			}
 			fsp := e.sctl.Begin("feed", bsp, bi+1, r.b.ID)
 			e.spanFeed = fsp
-			var err error
-			if e.coord != nil && !e.closed {
-				err = e.coord.feedBatch(r, rows, ts.starts[bi], ts, e.prefetched(ts, bi))
-			} else {
-				err = r.feedBatchParallel(rows, ts.starts[bi], ts, te, e.prefetched(ts, bi))
-			}
+			err := r.feedBatchParallel(rows, ts.starts[bi], ts, te, e.prefetched(ts, bi))
 			e.sctl.End(fsp)
 			e.spanFeed = 0
 			if err != nil {
@@ -1005,25 +907,12 @@ func (e *Engine) enforceUncertainBudget() {
 	}
 }
 
-// maxReplayShardRespawns bounds how many shard deaths one replay will
-// absorb before giving up (each respawn restarts the replay attempt
-// from reset state under fresh incarnations, so under probabilistic
-// fault injection each retry draws new variates).
-const maxReplayShardRespawns = 8
-
 // replayUpTo resets all online state and reprocesses batches 0..upto.
 // Epsilon boosts persist across attempts, guaranteeing termination. A
 // non-nil error means a containment-exhausting fault aborted the
-// replay. In sharded mode a shard lost mid-replay (its re-dispatch
-// budget exhausted) does not abort: the topology respawns and the
-// replay attempt restarts — replay is itself the recovery ladder's
-// restore primitive, so it must absorb shard deaths rather than bounce
-// them back (this is what keeps Resume-from-checkpoint recoverable
-// under kill chaos, not just Step).
+// replay.
 func (e *Engine) replayUpTo(upto int) error {
-	shardRespawns := 0
 	for attempt := 0; attempt < 16; attempt++ {
-	retry:
 		// Weight prefetch may hold (or still be filling) a buffer for a
 		// batch the replay restarts behind; drain and discard it so the
 		// replayed prefix re-pipelines from batch 0.
@@ -1049,15 +938,6 @@ func (e *Engine) replayUpTo(upto int) error {
 		for bi := 0; bi <= upto; bi++ {
 			bok, err := e.processBatch(bi)
 			if err != nil {
-				var sd *shardDown
-				if errors.As(err, &sd) && shardRespawns < maxReplayShardRespawns {
-					shardRespawns++
-					e.metrics.ShardRestores++
-					e.trace.Emit(Event{Kind: EvShardRestore, Worker: sd.shard, Kept: shardRespawns,
-						Note: fmt.Sprintf("shard lost during replay; topology respawned: %v", sd.cause)})
-					e.coord.respawnAll()
-					goto retry // does not consume a range-failure attempt
-				}
 				return err
 			}
 			if !bok {

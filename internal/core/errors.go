@@ -29,10 +29,6 @@ const (
 	ErrKindInterrupted ErrorKind = "interrupted"
 	// ErrKindCheckpoint reports a malformed or mismatched checkpoint.
 	ErrKindCheckpoint ErrorKind = "checkpoint"
-	// ErrKindShardLost reports a shard engine whose death exhausted the
-	// coordinator's recovery ladder (re-dispatch to replacement shards,
-	// then checkpoint restore): the query cannot make progress.
-	ErrKindShardLost ErrorKind = "shard-lost"
 )
 
 // Error makes a kind usable as an errors.Is target.
@@ -49,7 +45,7 @@ type QueryError struct {
 }
 
 func (e *QueryError) Error() string {
-	msg := fmt.Sprintf("core: %s", e.Kind)
+	msg := "core: " + string(e.Kind)
 	if e.Batch >= 0 {
 		msg += fmt.Sprintf(" (batch %d", e.Batch)
 		if e.Worker >= 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"fluodb/internal/chaos"
@@ -22,10 +21,7 @@ import (
 //
 // Worker shard state persists across batches: tables are reset (entry
 // free list), not reallocated, and the weights scratch, uncertain
-// buffers and classification environments are reused. The pre-pool
-// runtime that spawned fresh goroutines and tables per batch survives
-// as feedBatchSpawn behind Options.PerBatchSpawn, as the A/B baseline
-// for the scaling benchmark.
+// buffers and classification environments are reused.
 
 // merge folds another accumulator into a (Chan et al. parallel
 // variance).
@@ -169,10 +165,6 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
 		return nil
 	}
-	if e.opt.PerBatchSpawn {
-		r.feedBatchSpawn(rows, baseIdx, ts, workers, pf)
-		return nil
-	}
 	pool := e.ensurePool()
 	if pool == nil { // engine closed: degrade to serial, stay correct
 		r.feedBatchSerial(rows, baseIdx, ts, te, pf)
@@ -238,11 +230,11 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		// Any worker's shard for this runner may hold a partial or
 		// poisoned fold; discard them all and rebuild on the next batch.
 		pool.quarantine(r.idx)
-		return r.retrySerialShards(rows, baseIdx, ts, te, pf, workers, size)
+		return r.retrySerial(rows, baseIdx, ts, te, pf, workers, size)
 	}
 	// Drain worker shards in worker order (0..P−1): with shard
-	// boundaries fixed by row position this reproduces the group
-	// insertion order of the per-batch-spawn runtime exactly.
+	// boundaries fixed by row position the group insertion order is a
+	// function of the batch and P alone, never of worker timing.
 	for w := 0; w < workers; w++ {
 		sh := pool.ctxs[w].shards[r.idx]
 		r.tab.merge(sh.tab)
@@ -269,20 +261,20 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 // worker failure.
 const maxShardRetries = 3
 
-// retrySerialShards redoes a failed parallel batch on the controller's
-// goroutine under the shared bounded-backoff policy (internal/retry;
-// Seed 0 keeps the historical nominal ladder 1ms→2ms→4ms, cap 8ms).
+// retrySerial redoes a failed parallel batch on the controller's
+// goroutine under the shared bounded-backoff policy (internal/retry:
+// the nominal ladder 1ms→2ms→4ms, cap 8ms).
 // Each attempt folds the exact shard partition of the failed pass into
 // fresh staging tables and merges them in worker order — float addition
 // is non-associative, so replaying the same shard plan (rather than one
 // flat serial fold) is what makes the retry bit-identical to a clean
 // parallel pass. Chaos injection never fires here (faults are keyed to
 // pool workers), so an injected schedule cannot livelock the redo.
-func (r *blockRunner) retrySerialShards(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch, workers, size int) error {
+func (r *blockRunner) retrySerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch, workers, size int) error {
 	e := r.eng
 	var lastPanic any
 	pol := retry.Policy{Attempts: maxShardRetries, Base: time.Millisecond, Cap: 8 * time.Millisecond}
-	err := pol.Do(uint64(baseIdx), func(attempt int) error {
+	err := pol.Do(func(attempt int) error {
 		e.trace.Emit(Event{Kind: EvSerialRetry, Key: ts.name, Kept: attempt})
 		ssp := e.sctl.Begin("serial-retry", e.spanFeed, e.spanBatchNo, r.b.ID)
 		ok, pv := r.serialShardPass(rows, baseIdx, ts, te, pf, workers, size)
@@ -345,67 +337,6 @@ func (r *blockRunner) serialShardPass(rows []types.Row, baseIdx int, ts *tableSt
 	}
 	r.sampledIdxValid = false
 	return true, nil
-}
-
-// feedBatchSpawn is the legacy parallel runtime: fresh goroutines,
-// tables and uncertain buffers every batch. workers has already been
-// clamped by feedBatchParallel.
-func (r *blockRunner) feedBatchSpawn(rows []types.Row, baseIdx int, ts *tableStream, workers int, pf *weightPrefetch) {
-	type shardOut struct {
-		tab       *onlineTable
-		uncertain *[]uncertainRow
-		arena     weightArena
-		folds     int64
-		// Per-worker phase times, merged into the runner's accumulator
-		// after the barrier; phase breakdowns therefore sum worker time
-		// and may exceed batch wall time under parallel folding.
-		acc phaseAcc
-	}
-	outs := make([]shardOut, workers)
-	// joiner shares dimension hash tables (read-only) but its one-row
-	// scratch is per-call state: give each worker a shallow copy.
-	var wg sync.WaitGroup
-	size := len(rows) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * size
-		hi := lo + size
-		if w == workers-1 {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			wr := *r // shallow: shares joiner dims, block, engine
-			wr.joiner = r.joiner.CloneForWorker()
-			tab := newOnlineTable(r.eng.opt.Trials)
-			tab.configure(r.cltKinds)
-			wte := r.eng.triEnv()
-			unc := uncertainBufPool.Get().(*[]uncertainRow)
-			*unc = (*unc)[:0]
-			out := &outs[w]
-			out.tab = tab
-			out.uncertain = unc
-			// nil colScratch: the legacy baseline stays on the row path.
-			wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte, tab, unc, &out.arena, &out.folds, &out.acc, nil, pf, nil)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := range outs {
-		r.tab.merge(outs[w].tab)
-		r.uncertain = append(r.uncertain, *outs[w].uncertain...)
-		r.arena.adopt(&outs[w].arena)
-		r.eng.metrics.DeterministicFolds += outs[w].folds
-		r.acc.merge(&outs[w].acc)
-		// The uncertain rows now live in r.uncertain; recycle the worker
-		// buffer (zeroed so dropped rows stay collectable).
-		buf := *outs[w].uncertain
-		for i := range buf {
-			buf[i] = uncertainRow{}
-		}
-		*outs[w].uncertain = buf[:0]
-		uncertainBufPool.Put(outs[w].uncertain)
-	}
-	r.sampledIdxValid = false
 }
 
 // defaultParallelism resolves Parallelism 0.

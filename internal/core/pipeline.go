@@ -57,10 +57,9 @@ func (pf *weightPrefetch) drain() bool {
 
 // launchPrefetch schedules batch bi's weight generation on the worker
 // pool for every streamed table. It is a no-op until the pool exists
-// (serial engines never pay for it) and under the legacy per-batch
-// spawn runtime.
+// (serial engines never pay for it).
 func (e *Engine) launchPrefetch(bi int) {
-	if e.pool == nil || e.closed || e.opt.PerBatchSpawn || bi >= e.opt.Batches {
+	if e.pool == nil || e.closed || bi >= e.opt.Batches {
 		return
 	}
 	if e.degradeRung >= 2 {

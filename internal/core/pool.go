@@ -20,9 +20,8 @@ import (
 // classification environment, weight arena, uncertain buffer, joiner
 // clone, phase accumulator). The controller feeds work descriptors over
 // per-worker channels; shard k always runs on worker k and results are
-// merged in worker order, so the pooled runtime is bit-identical to the
-// per-batch-spawn path it replaces (and to a serial run, up to the same
-// group-ordering caveats as before).
+// merged in worker order, so the pooled runtime is bit-identical to a
+// serial run (see parallel.go for the group-ordering caveat).
 //
 // Fault containment: a task panic must not take down the worker (its
 // channel would deadlock every later barrier) or the process. Each task
@@ -288,9 +287,6 @@ func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.stop()
 		e.pool = nil
-	}
-	if e.coord != nil {
-		e.coord.stop()
 	}
 	runtime.SetFinalizer(e, nil)
 }

@@ -34,8 +34,7 @@ func pooledBatchEnv(tb testing.TB) (*Engine, *blockRunner, *tableStream, *triEnv
 // ~zero allocations per tuple: after warmup, a batch costs only the
 // per-worker task closures (a handful of allocations amortized over
 // thousands of rows) — no fresh shard tables, goroutines, weight
-// scratch or uncertain buffers. The legacy spawn runtime allocated all
-// of those every batch; this gate keeps the pool honest.
+// scratch or uncertain buffers.
 func TestPooledFeedBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -56,10 +55,9 @@ func TestPooledFeedBatchAllocs(t *testing.T) {
 	}
 }
 
-// benchPooledBatch measures a full batch feed through either runtime;
-// the pooled path reuses warmed shard scratch, the spawn path pays
-// per-batch goroutine + shard-table setup.
-func benchPooledBatch(b *testing.B, spawn bool) {
+// BenchmarkFoldBatchPooled measures a full batch feed through the
+// worker pool with warmed shard scratch.
+func BenchmarkFoldBatchPooled(b *testing.B) {
 	cat := foldCatalog(3*8192, 71)
 	q, err := plan.Compile(`SELECT a, b, SUM(x), AVG(x) FROM facts GROUP BY a, b`, cat)
 	if err != nil {
@@ -68,7 +66,6 @@ func benchPooledBatch(b *testing.B, spawn bool) {
 	eng, err := New(q, cat, Options{
 		Batches: 3, Trials: 100, Seed: 72,
 		Parallelism: 4, ParallelThreshold: 512,
-		PerBatchSpawn: spawn,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -88,9 +85,6 @@ func benchPooledBatch(b *testing.B, spawn bool) {
 		r.feedBatchParallel(rows, ts.starts[1], ts, te, nil)
 	}
 }
-
-func BenchmarkFoldBatchPooled(b *testing.B) { benchPooledBatch(b, false) }
-func BenchmarkFoldBatchSpawn(b *testing.B)  { benchPooledBatch(b, true) }
 
 // TestPoolLifecycleNoLeaks opens and closes many pooled engines and
 // requires the worker goroutines to drain back to the baseline — the

@@ -231,8 +231,8 @@ func (r *blockRunner) evictOldest(n int, te *triEnv) (folded, dropped int) {
 
 // reclassifyDecisions evaluates the uncertain predicate over the cached
 // uncertain set on the worker pool, one tri decision per row, or nil
-// when the set is too small (or parallelism is off / legacy spawn mode
-// is selected) — the caller then evaluates inline. Sharding uses the
+// when the set is too small (or parallelism is off) — the caller then
+// evaluates inline. Sharding uses the
 // same threshold-clamped split as the batch feed; decisions land in a
 // fixed per-row buffer, so worker completion order cannot reorder them.
 func (r *blockRunner) reclassifyDecisions() []uint8 {
@@ -240,7 +240,7 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 	n := len(r.uncertain)
 	workers := e.opt.Parallelism
 	thr := e.opt.ParallelThreshold
-	if workers <= 1 || e.opt.PerBatchSpawn || n < 2*thr {
+	if workers <= 1 || n < 2*thr {
 		return nil
 	}
 	if max := n / thr; workers > max {

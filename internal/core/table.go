@@ -597,8 +597,9 @@ func (e *onlineEntry) mergeEntry(o *onlineEntry) {
 	}
 }
 
-// merge folds a worker table into t, preserving t's insertion order for
-// existing groups and appending new groups in the worker's order.
+// merge folds a worker table into t (a runner table: merge targets
+// always carry the string-keyed view), preserving t's insertion order
+// for existing groups and appending new groups in the worker's order.
 // Adopted entries (new groups moving wholesale into t) are nil'ed out
 // of o so a following o.recycle() cannot hand them back out.
 func (t *onlineTable) merge(o *onlineTable) {
@@ -616,19 +617,14 @@ func (t *onlineTable) merge(o *onlineTable) {
 		e := t.find(oe.hash, oe.key, cols)
 		if e == nil {
 			t.insert(oe)
-			if t.m != nil {
-				if oe.skey == "" && len(oe.key) > 0 {
-					// Shard tables skip the string key; compute it once, at
-					// adoption. (A scalar block's sole group legitimately has
-					// skey "", and recomputing it would yield "" again.)
-					oe.skey = oe.key.KeyString(cols)
-				}
-				t.m[oe.skey] = oe
-				t.order = append(t.order, oe.skey)
+			if oe.skey == "" && len(oe.key) > 0 {
+				// Shard tables skip the string key; compute it once, at
+				// adoption. (A scalar block's sole group legitimately has
+				// skey "", and recomputing it would yield "" again.)
+				oe.skey = oe.key.KeyString(cols)
 			}
-			// A keyless destination (a shard table adopting another
-			// shard's sub-delta inside a shard engine) keeps deferring
-			// the string key to its own adoption into the runner table.
+			t.m[oe.skey] = oe
+			t.order = append(t.order, oe.skey)
 			o.entries[k] = nil
 			continue
 		}

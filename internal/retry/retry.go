@@ -1,18 +1,11 @@
-// Package retry provides the small bounded-backoff policy shared by
-// the runtime's containment ladders: the serial redo of a failed
-// parallel batch (core/parallel.go) and the shard re-dispatch rung of
-// the coordinator's recovery ladder (core/coordinator.go). The policy
-// is deliberately tiny — attempts, a doubling backoff between a base
-// and a cap, and optional deterministic jitter — because the ladders it
-// backs must stay replayable: given the same seed and site, a retried
+// Package retry provides the small bounded-backoff policy behind the
+// runtime's containment ladder: the serial redo of a failed parallel
+// batch (core/parallel.go). The policy is deliberately tiny — attempts
+// and a doubling backoff between a base and a cap — so a retried
 // schedule sleeps the same intervals on every run.
 package retry
 
-import (
-	"time"
-
-	"fluodb/internal/bootstrap"
-)
+import "time"
 
 // Policy describes one bounded retry ladder.
 type Policy struct {
@@ -23,11 +16,6 @@ type Policy struct {
 	Base time.Duration
 	// Cap bounds the doubled backoff (0 = uncapped).
 	Cap time.Duration
-	// Seed, when nonzero, enables deterministic jitter: each sleep is
-	// scaled into [50%, 100%] of its nominal value by a pure hash of
-	// (Seed, site, attempt). Zero keeps the exact nominal backoff —
-	// the mode the pre-existing serial-retry ladder pins in tests.
-	Seed uint64
 }
 
 // attempts resolves the zero value.
@@ -38,10 +26,9 @@ func (p Policy) attempts() int {
 	return p.Attempts
 }
 
-// Backoff returns the sleep to take before the given 1-based attempt at
-// the given site (attempt 1 never sleeps). Deterministic: equal
-// (Policy, site, attempt) yield equal durations.
-func (p Policy) Backoff(site uint64, attempt int) time.Duration {
+// Backoff returns the sleep to take before the given 1-based attempt
+// (attempt 1 never sleeps).
+func (p Policy) Backoff(attempt int) time.Duration {
 	if attempt <= 1 || p.Base <= 0 {
 		return 0
 	}
@@ -56,23 +43,16 @@ func (p Policy) Backoff(site uint64, attempt int) time.Duration {
 	if p.Cap > 0 && d > p.Cap {
 		d = p.Cap
 	}
-	if p.Seed != 0 {
-		// Scale into [50%, 100%]: enough spread to de-synchronize
-		// retries, never longer than the nominal ladder.
-		h := bootstrap.Mix64(p.Seed ^ site ^ uint64(attempt)*0x9E3779B97F4A7C15)
-		frac := 0.5 + 0.5*float64(h>>11)/(1<<53)
-		d = time.Duration(float64(d) * frac)
-	}
 	return d
 }
 
-// Do runs fn up to p.Attempts times, sleeping Backoff(site, attempt)
-// before each retry, until fn returns nil. It returns the last error
-// (nil on success). fn receives the 1-based attempt number.
-func (p Policy) Do(site uint64, fn func(attempt int) error) error {
+// Do runs fn up to p.Attempts times, sleeping Backoff(attempt) before
+// each retry, until fn returns nil. It returns the last error (nil on
+// success). fn receives the 1-based attempt number.
+func (p Policy) Do(fn func(attempt int) error) error {
 	var err error
 	for attempt := 1; attempt <= p.attempts(); attempt++ {
-		if d := p.Backoff(site, attempt); d > 0 {
+		if d := p.Backoff(attempt); d > 0 {
 			time.Sleep(d)
 		}
 		if err = fn(attempt); err == nil {

@@ -94,12 +94,7 @@ const (
 	ErrKindPoolStopped    = core.ErrKindPoolStopped
 	ErrKindInterrupted    = core.ErrKindInterrupted
 	ErrKindCheckpoint     = core.ErrKindCheckpoint
-	ErrKindShardLost      = core.ErrKindShardLost
 )
-
-// ShardStat is one shard slot's progress inside a sharded query
-// (OnlineOptions.Shards > 0); see Snapshot.Shards.
-type ShardStat = core.ShardStat
 
 // ErrPoolStopped is returned by internal pool submission after Close;
 // callers see it only wrapped in a QueryError if a race made a Step

@@ -4,7 +4,7 @@
 #   go vet           static checks
 #   go build         the whole tree compiles
 #   go test -race    full suite under the race detector
-#   determinism      pooled/spawned parallel runs bit-identical to serial
+#   determinism      pooled parallel runs bit-identical to serial
 #   alloc regression steady-state fold stays allocation-free; pooled
 #                    batch feed stays amortized-zero
 #                    (run without -race: its instrumentation allocates,
@@ -16,11 +16,8 @@
 #                    degradation stays bit-identical across P
 #   chaos gate       short seeded fault soak under -race: bit-identical
 #                    answers under injected panics/stragglers/corruption,
-#                    checkpoint round-trips, zero leaked goroutines
-#   shard gates      N-shard × per-shard-P bit-identity matrix under
-#                    -race, plus a shard-kill/straggler chaos slice with
-#                    coordinator recovery (replacement incarnations and
-#                    rolling-checkpoint restores)
+#                    checkpoint round-trips, zero leaked goroutines; a
+#                    real fold panic surfaces as a typed error at P=1, 4
 #   snapshot gates   golden trajectory hashes, row-major trial overlays
 #                    equal to per-trial overlays, and snapshot allocations
 #                    flat in the trial count B
@@ -39,10 +36,10 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== parallel determinism (pool P in {1,2,4,8} + spawn vs serial, recompute replay)"
+echo "== parallel determinism (pool P in {2,3,4,8} vs serial, recompute replay)"
 # TestParallelFoldBitIdentical sweeps the pooled runtime across
-# P∈{2,4,8} plus the legacy per-batch-spawn path against the serial
-# (P=1) snapshots; TestRecomputeReplayBitIdentical forces a mid-run
+# P∈{2,3,4,8} (P=3 splits batches unevenly) against the serial (P=1)
+# snapshots; TestRecomputeReplayBitIdentical forces a mid-run
 # variation-range failure with Parallelism 4 and asserts the replayed
 # result is byte-identical to serial (the prefetch-invalidation guard).
 go test ./internal/core -run 'TestParallelFoldBitIdentical|TestRecomputeReplayBitIdentical' -count=1
@@ -118,27 +115,17 @@ echo "== statistical gate (go test ./internal/audit -run TestAuditGate)"
 # contradicted, or if the uncertain set stops draining monotonically.
 go test ./internal/audit -run TestAuditGate -count=1
 
-echo "== chaos gate (go test -race ./internal/bench -run TestChaosGate)"
-# 90 seeded fault schedules under the race detector: every (fault
-# profile, run mode, query) combination several times over. Each run
-# must be bit-identical to the fault-free reference, every checkpoint
-# round-trip byte-identical, and runtime.NumGoroutine must return to its
-# pre-soak level. The full soak is `make chaos` (1000+ schedules).
+echo "== chaos gate (go test -race ./internal/bench -run TestChaosGate; ./internal/core -run TestFoldPanicTypedError)"
+# 90 seeded fault schedules under the race detector: the 7-profile ×
+# 3-mode × 2-query rotation twice over. Each run must be bit-identical
+# to the fault-free reference, every checkpoint round-trip
+# byte-identical, and runtime.NumGoroutine must return to its pre-soak
+# level. The full soak is `make chaos` (1000+ schedules).
+# TestFoldPanicTypedError covers the ladder's last rung with a real
+# panicking UDF: at P=1 and P=4 the panic must surface as a latched
+# worker-panic QueryError, never a raw panic, with no goroutine leaked.
 go test -race ./internal/bench -run TestChaosGate -count=1
-
-echo "== shard bit-identity matrix under -race (go test -race ./internal/core -run TestShardFoldBitIdentical)"
-# The coordinator must be a pure implementation detail: N∈{1,2,4,8}
-# shard engines × per-shard P∈{1,4} all reproduce the unsharded serial
-# trajectory byte-for-byte, with shard goroutines and the merge path
-# race-instrumented.
-go test -race ./internal/core -run 'TestShardFoldBitIdentical|TestShardKillRecovery|TestShardCheckpointRestoreMidRun' -count=1
-
-echo "== shard chaos gate (go test -race ./internal/bench -run TestShardChaosGate)"
-# 60 seeded shard-fault schedules: injected shard deaths and stragglers
-# across plain/cancel/checkpoint modes, every run bit-identical to its
-# fault-free same-topology reference, recovery absorbed by the ladder
-# (re-dispatch → rolling-checkpoint restore), zero leaked goroutines.
-go test -race ./internal/bench -run TestShardChaosGate -count=1
+go test -race ./internal/core -run TestFoldPanicTypedError -count=1
 
 echo "== snapshot gates (golden hashes, trial-overlay property, allocs flat in B)"
 # Every snapshot value, CI bound and RSD of the pinned queries must keep
