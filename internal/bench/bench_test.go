@@ -242,7 +242,7 @@ func TestAsciiChart(t *testing.T) {
 func TestChaosGate(t *testing.T) {
 	n := 90 // covers the 7-profile × 3-mode × 2-query rotation twice over
 	if testing.Short() {
-		n = 33
+		n = 42 // covers the rotation once
 	}
 	res, err := ChaosSoak(tiny, n)
 	if err != nil {

@@ -22,11 +22,10 @@ import (
 // fold loop, not the machine's core count.
 
 // FoldPoint is one fold scenario's measurement (best of FoldReps runs).
-// The phase breakdown and per-batch uncertain counts come from one
-// extra run with the profiler enabled, outside the timed reps (phase
-// timing adds clock reads to the hot loop), so the trajectory captures
-// where time goes — estimation overhead vs fold work — not just wall
-// time.
+// The phase breakdown, recompute count and per-batch uncertain counts
+// come from that fastest timed rep (phases are always collected), so
+// the trajectory captures where time goes — estimation overhead vs fold
+// work — not just wall time.
 type FoldPoint struct {
 	Scenario          string             `json:"scenario"`
 	Rows              int                `json:"rows"`
@@ -126,10 +125,8 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 	var out []FoldPoint
 	for _, sc := range scenarios {
 		best := time.Duration(0)
-		// rep -1 is the profiled pass: phase timers on, excluded from
-		// the throughput measurement (clock reads cost hot-loop time).
-		var profiled core.Metrics
-		for rep := -1; rep < FoldReps; rep++ {
+		var bestM core.Metrics
+		for rep := 0; rep < FoldReps; rep++ {
 			q, err := plan.Compile(sc.sql, cat)
 			if err != nil {
 				return nil, fmt.Errorf("bench fold %s: %w", sc.name, err)
@@ -137,7 +134,7 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 			eng, err := core.New(q, cat, core.Options{
 				Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
 				BootstrapSampleCap: sc.sampleCap, Parallelism: 1,
-				Profile: rep < 0, RowPath: cfg.RowPath,
+				RowPath: cfg.RowPath,
 			})
 			if err != nil {
 				return nil, err
@@ -149,21 +146,17 @@ func FoldBench(cfg Config) ([]FoldPoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			if rep < 0 {
-				profiled = eng.Metrics()
-				continue
-			}
 			if best == 0 || d < best {
-				best = d
+				best, bestM = d, eng.Metrics()
 			}
 		}
 		ns := float64(best.Nanoseconds()) / float64(cfg.Rows)
 		out = append(out, FoldPoint{
 			Scenario: sc.name, Rows: cfg.Rows, Batches: cfg.Batches, Trials: cfg.Trials,
 			NsPerRow: ns, RowsPerSec: 1e9 / ns,
-			Recomputes:        profiled.Recomputes,
-			UncertainPerBatch: profiled.UncertainPerBatch,
-			PhaseMS:           profiled.Phases.Milliseconds(),
+			Recomputes:        bestM.Recomputes,
+			UncertainPerBatch: bestM.UncertainPerBatch,
+			PhaseMS:           bestM.Phases.Milliseconds(),
 		})
 	}
 	return out, nil
@@ -315,7 +308,7 @@ func CompareFold(path string, points []FoldPoint, warnPct float64) ([]string, er
 }
 
 // FormatFold renders fold points as an aligned table, with each
-// scenario's dominant phases (from the profiled pass) alongside the
+// scenario's phase breakdown (from the fastest rep) alongside the
 // throughput numbers.
 func FormatFold(points []FoldPoint) string {
 	s := "Fold-path throughput (Parallelism=1, steady-state group-by)\n"

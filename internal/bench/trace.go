@@ -34,8 +34,8 @@ type TraceResult struct {
 const traceCapacity = 1 << 16
 
 // TraceRun executes one suite query (default Q17, the nested
-// non-monotonic workload) with tracing and profiling enabled, streaming
-// the retained events to w as JSONL. When spansW is non-nil the run
+// non-monotonic workload) with tracing enabled, streaming the retained
+// events to w as JSONL. When spansW is non-nil the run
 // also records a span timeline and writes it there as Chrome
 // trace-event JSON (Perfetto-loadable), with the ring events attached
 // as instants.
@@ -60,7 +60,7 @@ func TraceRun(cfg Config, queryName string, w, spansW io.Writer) (*TraceResult, 
 	tracer := core.NewTracer(ringCap)
 	opt := core.Options{
 		Batches: cfg.Batches, Trials: cfg.Trials, Seed: cfg.EngineSeed(),
-		Profile: true, Tracer: tracer,
+		Tracer: tracer,
 	}
 	var spans *otrace.Tracer
 	if spansW != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fluodb/internal/bootstrap"
 	"fluodb/internal/colstore"
 	"fluodb/internal/expr"
@@ -462,7 +460,7 @@ func memoHash(words []uint64) uint64 {
 // — having touched nothing — when the batch is not aligned with the
 // columnar cache (or the kernels no longer compile against it), letting
 // the caller fall back to the row loop.
-func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc, cs *colScratch, pf *weightPrefetch) bool {
+func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, cs *colScratch, pf *weightPrefetch) bool {
 	p := r.colPl
 	if p == nil || !p.ok || cs == nil {
 		return false
@@ -501,7 +499,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 	}
 
 	e := r.eng
-	prof := e.profile
 	trials := e.opt.Trials
 	if cap(cs.tri) < ct.SegSize {
 		cs.tri = make([]uint8, ct.SegSize)
@@ -537,7 +534,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 	for k := range wlut {
 		wlut[k] = float64(k) * ts.invP
 	}
-	fused := p.fuse && pf == nil && !prof && (r.uncertainWhere == nil || useTri)
+	fused := p.fuse && pf == nil && (r.uncertainWhere == nil || useTri)
 
 	g := baseIdx
 	end := baseIdx + len(rows)
@@ -550,10 +547,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 		g += hi - lo
 		cs.sweeps++
 
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
 		// Classify the whole segment range in one pass per kernel; the
 		// selections preserve ascending row order, which is what keeps
 		// accumulator addition sequences, group creation order and the
@@ -604,10 +597,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 			}
 		}
 		cs.sel, cs.selU = sel, selU
-		if prof {
-			t1 := time.Now()
-			acc.ns[phaseClassify] += int64(t1.Sub(t0))
-		}
 
 		if fused {
 			// The uncertain run (selU) still executes below: fusing only
@@ -630,15 +619,7 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 			for _, si := range sel {
 				i := int(si)
 				gi := seg.Base + i
-				if prof {
-					t0 = time.Now()
-				}
 				d := te.evalTri(r.uncertainWhere, seg.Rows[i])
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseClassify] += int64(t1.Sub(t0))
-					t0 = t1
-				}
 				if d == triFalse {
 					continue
 				}
@@ -666,18 +647,10 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 						weights = cs.wbuf
 					}
 				}
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseWeights] += int64(t1.Sub(t0))
-					t0 = t1
-				}
 				if d != triTrue {
 					*uncertain = append(*uncertain, uncertainRow{
 						row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
 					r.sampledIdxValid = false
-					if prof {
-						acc.ns[phaseClassify] += int64(time.Since(t0))
-					}
 					continue
 				}
 				if repW > 0 && wf == nil && len(weights) > 0 {
@@ -689,9 +662,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 				en := r.colEntry(tab, cs, ct, seg, i)
 				r.colFold(tab, p, en, ct, seg, i, wf, repW)
 				*folds++
-				if prof {
-					acc.ns[phaseFold] += int64(time.Since(t0))
-				}
 			}
 		} else {
 			// Certainly-in run: fold straight from the banks with direct
@@ -699,9 +669,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 			for _, si := range sel {
 				i := int(si)
 				gi := seg.Base + i
-				if prof {
-					t0 = time.Now()
-				}
 				repW := 0.0
 				var wf []float64
 				if pf != nil {
@@ -721,11 +688,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 						wf[j] = wlut[bootstrap.PoissonAt(base+uint64(j))&15]
 					}
 				}
-				if prof {
-					t1 := time.Now()
-					acc.ns[phaseWeights] += int64(t1.Sub(t0))
-					t0 = t1
-				}
 				if p.hasDims {
 					for _, en := range r.colEntries(tab, cs, ct, seg, i) {
 						r.colFold(tab, p, en, ct, seg, i, wf, repW)
@@ -736,9 +698,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 					r.colFold(tab, p, en, ct, seg, i, wf, repW)
 					*folds++
 				}
-				if prof {
-					acc.ns[phaseFold] += int64(time.Since(t0))
-				}
 			}
 		}
 		// Uncertain run: these rows retain their byte weight vectors and
@@ -748,9 +707,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 		for _, si := range selU {
 			i := int(si)
 			gi := seg.Base + i
-			if prof {
-				t0 = time.Now()
-			}
 			repW := 0.0
 			var weights []uint8
 			if pf != nil {
@@ -762,11 +718,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 				cs.wbuf = e.weightsInto(cs.wbuf, ts, gi)
 				weights = cs.wbuf
 				repW = ts.invP
-			}
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseWeights] += int64(t1.Sub(t0))
-				t0 = t1
 			}
 			if p.hasDims {
 				// Uncertain rows need this row's own joined lineage (the
@@ -781,9 +732,6 @@ func (r *blockRunner) colFeed(rows []types.Row, baseIdx int, ts *tableStream, te
 					row: seg.Rows[i], weights: arena.hold(weights), repW: repW})
 			}
 			r.sampledIdxValid = false
-			if prof {
-				acc.ns[phaseClassify] += int64(time.Since(t0))
-			}
 		}
 	}
 	return true
@@ -1084,8 +1032,7 @@ func (r *blockRunner) colFold(tab *onlineTable, p *colPlan, e *onlineEntry, ct *
 // bank folds collapse into one loop with no intermediate buffer. wlut
 // maps a Poisson(1) multiplicity to float64(k)·repW (the same two-step
 // computation the generic path performs, so every addition is
-// bit-identical). Used only off the profiled path: the split phase
-// attribution (weights vs fold) needs the unfused loops.
+// bit-identical).
 func (r *blockRunner) colFoldFused(tab *onlineTable, p *colPlan, e *onlineEntry, seg *colstore.Segment, i int, sampled bool, wbase uint64, wlut *[16]float64) {
 	e.n++
 	if sampled {

@@ -294,7 +294,7 @@ func TestColumnarDimsFoldAllocs(t *testing.T) {
 // columnarBenchEnv builds a warmed engine over the fold catalog and
 // returns the pieces to drive feedBatchSerial by hand over aligned
 // chunks of the second mini-batch.
-func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
+func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, traced bool) (*Engine, *blockRunner, *tableStream, *triEnv) {
 	cat := foldCatalog(20000, 71)
 	sql := `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	if multiKey {
@@ -308,8 +308,7 @@ func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engin
 	if sampledAll {
 		opt.BootstrapSampleCap = -1
 	}
-	if profile {
-		opt.Profile = true
+	if traced {
 		opt.Tracer = NewTracer(0)
 	}
 	eng, err := New(q, cat, opt)
@@ -328,8 +327,9 @@ func columnarBenchEnv(tb testing.TB, multiKey, sampledAll, profile bool) (*Engin
 
 // TestColumnarFoldAllocs pins the steady-state columnar fold to zero
 // allocations per chunk (and therefore per tuple) after warmup, plain
-// and profiled, for both subsample modes. It also asserts the columnar
-// path actually engaged (segment sweeps advanced).
+// and with the event tracer attached ("traced"), for both subsample
+// modes. It also asserts the columnar path actually engaged (segment
+// sweeps advanced).
 func TestColumnarFoldAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -344,14 +344,14 @@ func TestColumnarFoldAllocs(t *testing.T) {
 		{"multi-key/sampled-all", true, true},
 	} {
 		for _, mode := range []struct {
-			name    string
-			profile bool
+			name   string
+			traced bool
 		}{
 			{"plain", false},
-			{"profiled", true},
+			{"traced", true},
 		} {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				_, r, ts, te := columnarBenchEnv(t, tc.multiKey, tc.sampledAll, mode.profile)
+				eng, r, ts, te := columnarBenchEnv(t, tc.multiKey, tc.sampledAll, mode.traced)
 				rows := ts.batches[1]
 				base := ts.starts[1]
 				const chunk = 512
@@ -375,8 +375,8 @@ func TestColumnarFoldAllocs(t *testing.T) {
 				if r.cs.sweeps == sweeps {
 					t.Fatal("alloc loop never swept a segment")
 				}
-				if mode.profile && r.acc.ns[phaseFold] == 0 {
-					t.Fatal("profiled run recorded no fold time")
+				if mode.traced && eng.trace == nil {
+					t.Fatal("traced run has no tracer attached")
 				}
 			})
 		}

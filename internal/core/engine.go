@@ -80,13 +80,6 @@ type Options struct {
 	RowPath bool
 	// Seed makes the run deterministic.
 	Seed uint64
-	// Profile enables fine-grained phase timing inside the per-tuple
-	// fold loop (join, fold, weight generation, classification). Coarse
-	// phases (uncertain re-evaluation, range maintenance, recompute,
-	// snapshot) are always timed. The fine timers are monotonic clock
-	// reads into pre-allocated per-worker accumulators — allocation-free
-	// but not free, hence the gate.
-	Profile bool
 	// Tracer, when non-nil, receives structured G-OLA events (range
 	// failures, commits, uncertain flips, recomputes). See Tracer.
 	Tracer *Tracer
@@ -229,7 +222,7 @@ type Metrics struct {
 	GCCycles     int64
 	// Phases is the cumulative per-phase time breakdown across the run;
 	// PhasePerBatch holds one breakdown per processed batch (aligned
-	// with BatchDurations). Fine phases require Options.Profile.
+	// with BatchDurations). Phases are always collected (profile.go).
 	Phases        PhaseTimes
 	PhasePerBatch []PhaseTimes
 	// BlockPhases profiles each lineage block's cumulative cost
@@ -266,11 +259,9 @@ type Engine struct {
 	// Memoized per-node expression facts (plans are immutable).
 	hpCache  map[expr.Expr]bool
 	colCache map[expr.Expr]bool
-	// Profiling state: profile gates fine per-tuple phase timing;
-	// stepAcc accrues engine-level phases (recompute) for the batch in
-	// flight; blockAcc[i] is runner i's cumulative profile; cumAcc the
-	// run-wide total. See profile.go.
-	profile  bool
+	// Profiling state: stepAcc accrues engine-level phases (recompute)
+	// for the batch in flight; blockAcc[i] is runner i's cumulative
+	// profile; cumAcc the run-wide total. See profile.go.
 	trace    *Tracer
 	stepAcc  phaseAcc
 	blockAcc []phaseAcc
@@ -461,7 +452,6 @@ func New(q *plan.Query, cat *storage.Catalog, opt Options) (*Engine, error) {
 	for _, r := range e.runners {
 		r.ensureColPlan()
 	}
-	e.profile = opt.Profile
 	tr := opt.Tracer
 	if tr == nil && opt.Spans != nil {
 		// Instants (faults, flips, retries) should land on the span
@@ -858,11 +848,13 @@ func (e *Engine) processBatch(bi int) (bool, error) {
 			if r.b == e.q.Root {
 				e.metrics.RowsProcessed += int64(len(rows))
 			}
+			tf := time.Now()
 			fsp := e.sctl.Begin("feed", bsp, bi+1, r.b.ID)
 			e.spanFeed = fsp
 			err := r.feedBatchParallel(rows, ts.starts[bi], ts, te, e.prefetched(ts, bi))
 			e.sctl.End(fsp)
 			e.spanFeed = 0
+			r.acc.ns[phaseFold] += int64(time.Since(tf))
 			if err != nil {
 				return false, err
 			}

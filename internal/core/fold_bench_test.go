@@ -40,7 +40,7 @@ func foldCatalog(n int, seed uint64) *storage.Catalog {
 // foldBenchEnv builds an engine over the fold catalog, feeds the first
 // mini-batch (so all groups exist) and returns the pieces needed to
 // drive the fold loop by hand.
-func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blockRunner, *tableStream, *triEnv, []types.Row) {
+func foldBenchEnv(tb testing.TB, multiKey, traced, spanned bool) (*Engine, *blockRunner, *tableStream, *triEnv, []types.Row) {
 	cat := foldCatalog(20000, 71)
 	sql := `SELECT a, SUM(x), AVG(x) FROM facts GROUP BY a`
 	if multiKey {
@@ -51,11 +51,9 @@ func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blo
 		tb.Fatal(err)
 	}
 	opt := Options{Batches: 10, Trials: 100, Seed: 72, Parallelism: 1}
-	if profile {
-		// Full instrumentation on: fine phase timers plus an attached
-		// tracer, the configuration the alloc regression must also hold
-		// under.
-		opt.Profile = true
+	if traced {
+		// An attached event tracer (phase timing is always on): the
+		// configuration the alloc regression must also hold under.
 		opt.Tracer = NewTracer(0)
 	}
 	if spanned {
@@ -74,6 +72,13 @@ func foldBenchEnv(tb testing.TB, multiKey, profile, spanned bool) (*Engine, *blo
 	r := eng.runners[len(eng.runners)-1]
 	ts := eng.tables["facts"]
 	return eng, r, ts, eng.triEnv(), ts.batches[1]
+}
+
+// feedTuple drives the row-path fold for one tuple into the runner's
+// own state, the unit the per-tuple benchmarks and alloc gates measure.
+func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, te *triEnv) {
+	r.feedTupleTo(fact, weights, repW, te, r.tab, &r.uncertain, &r.arena,
+		&r.eng.metrics.DeterministicFolds)
 }
 
 func benchFold(b *testing.B, multiKey, sampled bool) {
@@ -111,12 +116,12 @@ func TestFoldBenchEnvGroups(t *testing.T) {
 
 // TestFoldSteadyStateAllocs pins the steady-state fold path (existing
 // groups, sampled and unsampled tuples) to zero allocations per tuple —
-// with instrumentation off ("plain"), with the phase profiler and
-// tracer enabled ("profiled"), and additionally with span timelines
-// attached ("spanned"): phase timers are monotonic clock reads into
-// pre-allocated accumulators and spans are batch-granular slab appends,
-// so turning observability on must not cost allocations. Skipped under
-// the race detector, whose instrumentation allocates.
+// with only the always-on phase profiler ("plain"), with the event
+// tracer attached ("traced"), and additionally with span timelines
+// attached ("spanned"): phases are timed per call, never per tuple, and
+// spans are batch-granular slab appends, so turning observability on
+// must not cost allocations. Skipped under the race detector, whose
+// instrumentation allocates.
 func TestFoldSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -132,15 +137,15 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 		{"multi-key/sampled", true, true},
 	} {
 		for _, mode := range []struct {
-			name             string
-			profile, spanned bool
+			name            string
+			traced, spanned bool
 		}{
 			{"plain", false, false},
-			{"profiled", true, false},
+			{"traced", true, false},
 			{"spanned", true, true},
 		} {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				eng, r, ts, te, rows := foldBenchEnv(t, tc.multiKey, mode.profile, mode.spanned)
+				eng, r, ts, te, rows := foldBenchEnv(t, tc.multiKey, mode.traced, mode.spanned)
 				var wbuf []uint8
 				repW := 0.0
 				if tc.sampled {
@@ -160,8 +165,8 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 				if allocs != 0 {
 					t.Fatalf("steady-state fold allocates %.1f allocs/tuple, want 0", allocs)
 				}
-				if mode.profile && r.acc.ns[phaseFold] == 0 {
-					t.Fatal("profiled run recorded no fold time")
+				if mode.traced && eng.trace == nil {
+					t.Fatal("traced run has no tracer attached")
 				}
 			})
 		}

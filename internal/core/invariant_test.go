@@ -12,7 +12,7 @@ import (
 // with the (now exact) point state — zero violations — while the
 // in-flight flips that forced its recomputes are counted in DetFlips.
 func TestAuditInvariantsCleanRun(t *testing.T) {
-	eng, _ := profiledQ17(t)
+	eng, _ := tracedQ17(t)
 	if v := eng.AuditInvariants(); len(v) != 0 {
 		t.Fatalf("clean completed run reported violations: %+v", v)
 	}
@@ -20,7 +20,7 @@ func TestAuditInvariantsCleanRun(t *testing.T) {
 	if m.InvariantViolations != 0 {
 		t.Fatalf("InvariantViolations = %d, want 0", m.InvariantViolations)
 	}
-	// profiledQ17 is tuned to fail at least one committed range; every
+	// tracedQ17 is tuned to fail at least one committed range; every
 	// failure is an in-flight flip (recovered by replay).
 	if m.DetFlips == 0 {
 		t.Fatal("recomputing workload reported DetFlips = 0")
@@ -36,7 +36,7 @@ func TestAuditInvariantsCleanRun(t *testing.T) {
 // with the offending key, a det-violation trace event, and the metrics
 // count.
 func TestAuditInvariantsDetectsTampering(t *testing.T) {
-	eng, tr := profiledQ17(t)
+	eng, tr := tracedQ17(t)
 	if len(eng.bind.groups) == 0 {
 		t.Fatal("Q17 must have a correlated group binding")
 	}

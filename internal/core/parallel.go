@@ -41,7 +41,7 @@ func (a *cltAcc) merge(b cltAcc) {
 }
 
 // feedShard folds rows[lo:hi) of a mini-batch into a private table and
-// uncertain buffer. te, tab, uncertain, arena, acc, the cs columnar
+// uncertain buffer. te, tab, uncertain, arena, the cs columnar
 // scratch and the wbuf weights scratch must be private to the worker;
 // the (possibly grown) scratch is returned for reuse. pf, when non-nil,
 // supplies prefetched subsample membership and weight vectors for the
@@ -49,20 +49,15 @@ func (a *cltAcc) merge(b cltAcc) {
 // block's columnar plan applies (and cs is provided), the shard is swept
 // by the vectorized classify/fold path instead of the row loop below —
 // bit-identically.
-func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc, wbuf []uint8, pf *weightPrefetch, cs *colScratch) []uint8 {
+func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, wbuf []uint8, pf *weightPrefetch, cs *colScratch) []uint8 {
 	e := r.eng
-	if cs != nil && r.colFeed(rows, baseIdx, ts, te, tab, uncertain, arena, folds, acc, cs, pf) {
+	if cs != nil && r.colFeed(rows, baseIdx, ts, te, tab, uncertain, arena, folds, cs, pf) {
 		return wbuf
 	}
-	prof := e.profile
 	trials := e.opt.Trials
 	for i, fact := range rows {
 		var weights []uint8
 		repW := 0.0
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
 		if pf != nil {
 			if ri := baseIdx + i - pf.start; pf.sampled[ri] {
 				weights = pf.weights[ri*trials : (ri+1)*trials]
@@ -73,53 +68,27 @@ func (r *blockRunner) feedShard(rows []types.Row, baseIdx int, ts *tableStream, 
 			weights = wbuf
 			repW = ts.invP
 		}
-		if prof {
-			acc.ns[phaseWeights] += int64(time.Since(t0))
-		}
-		r.feedTupleTo(fact, weights, repW, te, tab, uncertain, arena, folds, acc)
+		r.feedTupleTo(fact, weights, repW, te, tab, uncertain, arena, folds)
 	}
 	return wbuf
 }
 
-// feedBatchSerial folds a mini-batch on the caller's goroutine, reusing
-// the runner's weights scratch. Columnar-eligible blocks sweep the
-// batch through colFeed instead (bit-identical, see columnar.go).
+// feedBatchSerial folds a mini-batch on the caller's goroutine into the
+// runner's own state, reusing its weights scratch. Columnar-eligible
+// blocks sweep the batch through colFeed instead (bit-identical, see
+// columnar.go).
 func (r *blockRunner) feedBatchSerial(rows []types.Row, baseIdx int, ts *tableStream, te *triEnv, pf *weightPrefetch) {
 	r.ensureColPlan()
 	r.revalidateColPlan()
+	var cs *colScratch
 	if r.colPl.ok {
 		if r.cs == nil {
 			r.cs = &colScratch{}
 		}
-		if r.colFeed(rows, baseIdx, ts, te, r.tab, &r.uncertain, &r.arena,
-			&r.eng.metrics.DeterministicFolds, &r.acc, r.cs, pf) {
-			return
-		}
+		cs = r.cs
 	}
-	prof := r.eng.profile
-	trials := r.eng.opt.Trials
-	for i, fact := range rows {
-		var weights []uint8
-		repW := 0.0
-		var t0 time.Time
-		if prof {
-			t0 = time.Now()
-		}
-		if pf != nil {
-			if ri := baseIdx + i - pf.start; pf.sampled[ri] {
-				weights = pf.weights[ri*trials : (ri+1)*trials]
-				repW = ts.invP
-			}
-		} else if r.eng.sampled(ts, baseIdx+i) {
-			r.wbuf = r.eng.weightsInto(r.wbuf, ts, baseIdx+i)
-			weights = r.wbuf
-			repW = ts.invP
-		}
-		if prof {
-			r.acc.ns[phaseWeights] += int64(time.Since(t0))
-		}
-		r.feedTuple(fact, weights, repW, te)
-	}
+	r.wbuf = r.feedShard(rows, baseIdx, ts, te, r.tab, &r.uncertain, &r.arena,
+		&r.eng.metrics.DeterministicFolds, r.wbuf, pf, cs)
 }
 
 // chaosFault is the panic value of an injected fault, so containment
@@ -201,7 +170,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 					wr := *r
 					wr.joiner = sh.joiner
 					wc.wbuf = wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte,
-						sh.tab, &sh.uncertain, &sh.arena, &sh.folds, &sh.acc, wc.wbuf, pf, sh.cs)
+						sh.tab, &sh.uncertain, &sh.arena, &sh.folds, wc.wbuf, pf, sh.cs)
 					panic(&chaosFault{kind: k})
 				}
 			}
@@ -212,7 +181,7 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 			wr := *r // shallow: shares block/engine, swaps per-worker scratch
 			wr.joiner = sh.joiner
 			wc.wbuf = wr.feedShard(rows[lo:hi], baseIdx+lo, ts, wte,
-				sh.tab, &sh.uncertain, &sh.arena, &sh.folds, &sh.acc, wc.wbuf, pf, sh.cs)
+				sh.tab, &sh.uncertain, &sh.arena, &sh.folds, wc.wbuf, pf, sh.cs)
 			sl.End(tsp)
 		})
 		if err != nil {
@@ -242,8 +211,6 @@ func (r *blockRunner) feedBatchParallel(rows []types.Row, baseIdx int, ts *table
 		r.arena.adopt(&sh.arena)
 		e.metrics.DeterministicFolds += sh.folds
 		sh.folds = 0
-		r.acc.merge(&sh.acc)
-		sh.acc.reset()
 		// The uncertain rows now live in r.uncertain; keep the worker
 		// buffer (zeroed so dropped rows stay collectable) and recycle
 		// the shard table's entries for the next batch.
@@ -304,7 +271,6 @@ func (r *blockRunner) serialShardPass(rows []types.Row, baseIdx int, ts *tableSt
 		uncertain []uncertainRow
 		arena     weightArena
 		folds     int64
-		acc       phaseAcc
 	}
 	outs := make([]staging, workers)
 	defer func() {
@@ -325,7 +291,7 @@ func (r *blockRunner) serialShardPass(rows []types.Row, baseIdx int, ts *tableSt
 			r.cs = &colScratch{}
 		}
 		r.wbuf = r.feedShard(rows[lo:hi], baseIdx+lo, ts, te,
-			st.tab, &st.uncertain, &st.arena, &st.folds, &st.acc, r.wbuf, pf, r.cs)
+			st.tab, &st.uncertain, &st.arena, &st.folds, r.wbuf, pf, r.cs)
 	}
 	for w := 0; w < workers; w++ {
 		st := &outs[w]
@@ -333,7 +299,6 @@ func (r *blockRunner) serialShardPass(rows []types.Row, baseIdx int, ts *tableSt
 		r.uncertain = append(r.uncertain, st.uncertain...)
 		r.arena.adopt(&st.arena)
 		e.metrics.DeterministicFolds += st.folds
-		r.acc.merge(&st.acc)
 	}
 	r.sampledIdxValid = false
 	return true, nil

@@ -18,7 +18,7 @@ import (
 // engine owns P long-lived workers, each with a reusable shard context
 // (group table reset — not reallocated — across batches, a refreshable
 // classification environment, weight arena, uncertain buffer, joiner
-// clone, phase accumulator). The controller feeds work descriptors over
+// clone). The controller feeds work descriptors over
 // per-worker channels; shard k always runs on worker k and results are
 // merged in worker order, so the pooled runtime is bit-identical to a
 // serial run (see parallel.go for the group-ordering caveat).
@@ -88,7 +88,6 @@ type workerShard struct {
 	arena     weightArena
 	joiner    *exec.Joiner
 	folds     int64
-	acc       phaseAcc
 	cs        *colScratch
 }
 

@@ -6,35 +6,23 @@ import (
 	"time"
 )
 
-// The per-phase profiler answers the question PR 1's throughput work
-// raised: where does batch time actually go? The paper attributes
-// FluoDB's ~60% online overhead to error estimation (§5); the phases
-// below split every mini-batch into the G-OLA stages so that claim is
-// verifiable per block on our own engine.
+// The per-phase profiler answers where batch time actually goes. The
+// paper attributes FluoDB's ~60% online overhead to error estimation
+// (§5); the phases below split every mini-batch into the G-OLA stages
+// so that claim is verifiable per block on our own engine.
 //
-// Two granularities, one discipline:
-//
-//   - Coarse phases (uncertain re-evaluation, range maintenance,
-//     recompute replay, snapshot emission) are timed at call
-//     granularity — two monotonic clock reads per block per batch —
-//     and are always collected.
-//   - Fine phases (join, fold, bootstrap-weight generation, tuple
-//     classification) live inside the per-tuple fold loop and are
-//     gated by Options.Profile: one clock read per phase transition,
-//     zero reads when disabled.
-//
-// Accumulators are plain int64 arrays owned by exactly one goroutine:
-// each parallel worker carries its own phaseAcc in its shard output and
-// the runner merges them at the batch boundary, so enabling the
-// profiler keeps the steady-state fold at 0 allocs/tuple (pinned by
-// TestFoldSteadyStateAllocs' profiled subtests).
+// Every phase is timed at call granularity on the controller goroutine
+// — two monotonic clock reads around one block's feed, reclassification,
+// range update, the recompute replay or the snapshot — and is always
+// collected. Nothing is timed per tuple and worker goroutines never
+// touch an accumulator, so the profiled program is the one that runs,
+// and the in-batch phases are disjoint wall-time slices of the batch at
+// any Parallelism. CPU attribution inside the feed (join, classify,
+// weights, fold) is pprof's job (the dashboard serves /debug/pprof/).
 
 // Phase indices. Keep PhaseNames aligned.
 const (
-	phaseJoin = iota
-	phaseFold
-	phaseWeights
-	phaseClassify
+	phaseFold = iota
 	phaseUncertain
 	phaseRanges
 	phaseRecompute
@@ -44,15 +32,10 @@ const (
 
 // PhaseNames lists the profiler phases in breakdown order, aligned with
 // PhaseTimes.Durations.
-var PhaseNames = []string{
-	"join", "fold", "weights", "classify",
-	"uncertain", "ranges", "recompute", "snapshot",
-}
+var PhaseNames = []string{"fold", "uncertain", "ranges", "recompute", "snapshot"}
 
-// phaseAcc accumulates per-phase nanoseconds. An accumulator is owned
-// by exactly one goroutine at a time; cross-goroutine visibility comes
-// from the existing batch-boundary synchronization (WaitGroup), never
-// from atomics on the hot path.
+// phaseAcc accumulates per-phase nanoseconds. Only the controller
+// goroutine writes one.
 type phaseAcc struct{ ns [numPhases]int64 }
 
 func (a *phaseAcc) merge(o *phaseAcc) {
@@ -65,10 +48,7 @@ func (a *phaseAcc) reset() { *a = phaseAcc{} }
 
 func (a *phaseAcc) times() PhaseTimes {
 	return PhaseTimes{
-		Join:      time.Duration(a.ns[phaseJoin]),
 		Fold:      time.Duration(a.ns[phaseFold]),
-		Weights:   time.Duration(a.ns[phaseWeights]),
-		Classify:  time.Duration(a.ns[phaseClassify]),
 		Uncertain: time.Duration(a.ns[phaseUncertain]),
 		Ranges:    time.Duration(a.ns[phaseRanges]),
 		Recompute: time.Duration(a.ns[phaseRecompute]),
@@ -78,10 +58,9 @@ func (a *phaseAcc) times() PhaseTimes {
 
 // PhaseTimes is a per-phase wall-time breakdown of G-OLA execution.
 //
-//   - Join: dimension-table hash joins of fact tuples
-//   - Fold: deterministic folds into main + replica aggregate state
-//   - Weights: per-tuple Poisson bootstrap multiplicity generation
-//   - Classify: certain-filter evaluation and tri-state classification
+//   - Fold: the block's batch feed — dimension joins, certain-filter
+//     and tri-state classification, bootstrap weights, the folds into
+//     main + replica aggregate state and the worker-shard merge
 //   - Uncertain: re-evaluation of the cached uncertain set (§3.2 delta
 //     maintenance)
 //   - Ranges: parameter estimate/replica/variation-range maintenance
@@ -92,14 +71,10 @@ func (a *phaseAcc) times() PhaseTimes {
 //   - Snapshot: snapshot materialization with bootstrap CIs (runs after
 //     the batch duration is measured)
 //
-// Under parallel folding the fine phases sum worker time, so a batch's
-// breakdown may legitimately exceed its wall duration; with
-// Parallelism 1 it is a wall-time decomposition.
+// Every phase is controller wall time, so a batch's BatchWork never
+// exceeds its duration, whatever the Parallelism.
 type PhaseTimes struct {
-	Join      time.Duration
 	Fold      time.Duration
-	Weights   time.Duration
-	Classify  time.Duration
 	Uncertain time.Duration
 	Ranges    time.Duration
 	Recompute time.Duration
@@ -108,18 +83,15 @@ type PhaseTimes struct {
 
 // Durations returns the phases in PhaseNames order.
 func (p PhaseTimes) Durations() []time.Duration {
-	return []time.Duration{
-		p.Join, p.Fold, p.Weights, p.Classify,
-		p.Uncertain, p.Ranges, p.Recompute, p.Snapshot,
-	}
+	return []time.Duration{p.Fold, p.Uncertain, p.Ranges, p.Recompute, p.Snapshot}
 }
 
 // BatchWork is the disjoint in-batch processing time: every phase
 // except Recompute (whose replay re-accrues the others, so including it
 // would double-count) and Snapshot (measured after the batch duration).
-// With serial folding, BatchWork ≤ the batch duration.
+// BatchWork ≤ the batch duration at any Parallelism.
 func (p PhaseTimes) BatchWork() time.Duration {
-	return p.Join + p.Fold + p.Weights + p.Classify + p.Uncertain + p.Ranges
+	return p.Fold + p.Uncertain + p.Ranges
 }
 
 // Milliseconds returns the non-zero phases as name → milliseconds, the
@@ -134,7 +106,7 @@ func (p PhaseTimes) Milliseconds() map[string]float64 {
 	return out
 }
 
-// String renders the non-zero phases compactly ("join 1.2ms fold 3.4ms").
+// String renders the non-zero phases compactly ("fold 3.4ms ranges 1.2ms").
 func (p PhaseTimes) String() string {
 	var b strings.Builder
 	for i, d := range p.Durations() {
@@ -203,9 +175,6 @@ func (e *Engine) Report() string {
 	fmt.Fprintf(&b, "G-OLA profile: %d/%d batches, %d rows, %d recomputes, %d uncertain cached, %s processing\n",
 		m.Batches, e.opt.Batches, m.RowsProcessed, m.Recomputes, e.UncertainRows(), fmtDur(total))
 	fmt.Fprintf(&b, "phase totals: %s\n", m.Phases)
-	if !e.opt.Profile {
-		b.WriteString("(fine phases join/fold/weights/classify require Options.Profile)\n")
-	}
 	if e.spans != nil {
 		b.WriteString(e.timelineSummary())
 	}
@@ -255,9 +224,8 @@ func (e *Engine) Report() string {
 		}
 	}
 	if len(m.PhasePerBatch) > 0 {
-		fmt.Fprintf(&b, "%5s %10s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-			"batch", "dur",
-			"join", "fold", "weights", "classify", "uncertain", "ranges", "recompute", "snapshot", "unc.rows")
+		fmt.Fprintf(&b, "%5s %10s %10s %10s %10s %10s %10s %10s\n",
+			"batch", "dur", "fold", "uncertain", "ranges", "recompute", "snapshot", "unc.rows")
 		for i, p := range m.PhasePerBatch {
 			var dur time.Duration
 			if i < len(m.BatchDurations) {
@@ -267,10 +235,9 @@ func (e *Engine) Report() string {
 			if i < len(m.UncertainPerBatch) {
 				unc = m.UncertainPerBatch[i]
 			}
-			fmt.Fprintf(&b, "%5d %10s %10s %10s %10s %10s %10s %10s %10s %10s %10d\n",
-				i+1, fmtDur(dur),
-				fmtDur(p.Join), fmtDur(p.Fold), fmtDur(p.Weights), fmtDur(p.Classify),
-				fmtDur(p.Uncertain), fmtDur(p.Ranges), fmtDur(p.Recompute), fmtDur(p.Snapshot), unc)
+			fmt.Fprintf(&b, "%5d %10s %10s %10s %10s %10s %10s %10d\n",
+				i+1, fmtDur(dur), fmtDur(p.Fold), fmtDur(p.Uncertain),
+				fmtDur(p.Ranges), fmtDur(p.Recompute), fmtDur(p.Snapshot), unc)
 		}
 	}
 	return b.String()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fluodb/internal/chaos"
 	"fluodb/internal/exec"
 	"fluodb/internal/expr"
@@ -70,10 +68,8 @@ type blockRunner struct {
 	allCLT   bool
 
 	// acc is the block's per-batch phase-time scratch, flushed into the
-	// engine's cumulative profiles at the end of each Step. Parallel
-	// workers accumulate into per-shard copies merged at the batch
-	// boundary (see feedBatchParallel), so the serial owner is the only
-	// goroutine ever writing here.
+	// engine's cumulative profiles at the end of each Step. Only the
+	// controller writes it (processBatch times whole calls).
 	acc phaseAcc
 }
 
@@ -306,77 +302,33 @@ func (r *blockRunner) reclassifyDecisions() []uint8 {
 	return buf
 }
 
-// feedTuple pushes one fact tuple (with its per-trial bootstrap
+// feedTupleTo pushes one fact tuple (with its per-trial bootstrap
 // multiplicities and subsample weight) through join → certain filter →
-// classification. weights may live in a reusable scratch buffer: tuples
-// that stay uncertain copy them into the runner's arena.
-func (r *blockRunner) feedTuple(fact types.Row, weights []uint8, repW float64, te *triEnv) {
-	r.feedTupleTo(fact, weights, repW, te, r.tab, &r.uncertain, &r.arena,
-		&r.eng.metrics.DeterministicFolds, &r.acc)
-}
-
-// feedTupleTo is feedTuple with explicit fold targets, shared by the
-// serial path (runner-owned state) and parallel workers (shard-private
-// state). When profiling is enabled it splits the work into join, fold
-// and classify time via monotonic clock reads into acc — everything in
-// this function that is neither the join nor a fold counts as
-// classification. time.Now is allocation-free, so the profiled path
-// keeps the steady-state fold at 0 allocs/tuple.
-func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64, acc *phaseAcc) {
-	prof := r.eng.profile
-	var t0 time.Time
-	if prof {
-		t0 = time.Now()
-	}
-	rows := r.joiner.Join(fact)
-	if prof {
-		t1 := time.Now()
-		acc.ns[phaseJoin] += int64(t1.Sub(t0))
-		t0 = t1
-	}
-	for _, row := range rows {
+// classification into the given fold targets: the runner's own state on
+// the serial path, shard-private state on a worker. weights may live in
+// a reusable scratch buffer: tuples that stay uncertain copy them into
+// the arena.
+func (r *blockRunner) feedTupleTo(fact types.Row, weights []uint8, repW float64, te *triEnv, tab *onlineTable, uncertain *[]uncertainRow, arena *weightArena, folds *int64) {
+	for _, row := range r.joiner.Join(fact) {
 		te.pointCtx.Row = row
 		if r.certainWhere != nil && !r.certainWhere.Eval(te.pointCtx).Truthy() {
 			continue
 		}
 		if r.uncertainWhere == nil {
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseClassify] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
 			*folds++
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseFold] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			continue
 		}
 		switch te.evalTri(r.uncertainWhere, row) {
 		case triTrue:
 			te.pointCtx.Row = row
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseClassify] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 			tab.fold(r.b, te.pointCtx, weights, repW)
 			*folds++
-			if prof {
-				t1 := time.Now()
-				acc.ns[phaseFold] += int64(t1.Sub(t0))
-				t0 = t1
-			}
 		case triFalse:
 			// dropped forever
 		default:
 			*uncertain = append(*uncertain, uncertainRow{row: row, weights: arena.hold(weights), repW: repW})
 			r.sampledIdxValid = false
 		}
-	}
-	if prof {
-		acc.ns[phaseClassify] += int64(time.Since(t0))
 	}
 }

@@ -27,8 +27,9 @@ type BlockStat struct {
 	Table     string // streamed fact table
 	Groups    int    // live groups in the block's aggregate state
 	Uncertain int    // cached uncertain tuples
-	// Phases is the block's cumulative per-phase processing time (fine
-	// phases require Options.Profile; see PhaseTimes).
+	// Phases is the block's cumulative per-phase processing time (see
+	// PhaseTimes; Recompute and Snapshot are engine-level and stay zero
+	// here).
 	Phases PhaseTimes
 }
 
@@ -42,10 +43,9 @@ type Snapshot struct {
 	UncertainRows     int           // cached uncertain tuples across all blocks
 	Recomputes        int           // cumulative range-failure recomputations
 	Elapsed           time.Duration // processing time of this batch
-	// Phases breaks down where this batch went (including the emission
-	// of this snapshot; fine phases require Options.Profile). Worker
-	// time is summed under parallel folding, so the breakdown may exceed
-	// Elapsed.
+	// Phases breaks down where this batch went, including the emission
+	// of this snapshot. Every phase is controller wall time, so
+	// Phases.BatchWork() ≤ Elapsed at any Parallelism.
 	Phases PhaseTimes
 	// Blocks profiles each lineage block (dependency order, root last) —
 	// the observability the paper's Query Controller exposes (§4).

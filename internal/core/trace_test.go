@@ -87,7 +87,7 @@ func TestTracerWriteJSONL(t *testing.T) {
 // variation-range failure carrying the failing group key, uncertain
 // flips, and the recompute trigger.
 func TestEngineTraceEvents(t *testing.T) {
-	_, tr := profiledQ17(t)
+	_, tr := tracedQ17(t)
 	counts := map[string]int{}
 	var failure *Event
 	for i, ev := range tr.Events() {

@@ -82,11 +82,8 @@ type Server struct {
 }
 
 // New builds a dashboard server over a catalog. opt configures the
-// online executions (zero values take engine defaults); the per-phase
-// profiler is always enabled so the phase histograms and SSE payloads
-// carry real timings.
+// online executions (zero values take engine defaults).
 func New(cat *storage.Catalog, opt core.Options) *Server {
-	opt.Profile = true
 	s := &Server{cat: cat, opt: opt, reg: metrics.NewRegistry()}
 	s.queries = s.reg.Counter("fluodb_queries_total", "Online queries started.")
 	s.active = s.reg.Gauge("fluodb_queries_active", "Online queries currently running.")

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,7 +215,8 @@ func TestBlocksInPayload(t *testing.T) {
 }
 
 // TestPhasesInPayload checks the SSE wire form carries per-batch and
-// per-block phase timings (New forces the profiler on).
+// per-block phase timings under default options (phases are always
+// collected), with one entry per name in core.PhaseNames at most.
 func TestPhasesInPayload(t *testing.T) {
 	srv := httptest.NewServer(testServer(t).Handler())
 	defer srv.Close()
@@ -234,6 +237,11 @@ func TestPhasesInPayload(t *testing.T) {
 		}
 		if s.Phases["fold"] <= 0 || s.Phases["snapshot"] <= 0 {
 			t.Fatalf("snapshot phases missing: %v", s.Phases)
+		}
+		for name := range s.Phases {
+			if !slices.Contains(core.PhaseNames, name) {
+				t.Fatalf("payload phase %q not in core.PhaseNames %v", name, core.PhaseNames)
+			}
 		}
 		for _, b := range s.Blocks {
 			if b.PhaseMS["fold"] <= 0 {
@@ -290,9 +298,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(text, "fluodb_rows_total 2000") {
 		t.Fatalf("rows counter wrong:\n%s", text)
 	}
-	// The fold phase histogram recorded all five batches.
+	// The fold phase histogram recorded all five batches, and every
+	// profiler phase has exactly one series.
 	if !strings.Contains(text, `fluodb_phase_seconds_count{phase="fold"} 5`) {
 		t.Fatalf("fold phase histogram not populated:\n%s", text)
+	}
+	if got := strings.Count(text, "fluodb_phase_seconds_count{"); got != len(core.PhaseNames) {
+		t.Fatalf("%d phase series, want one per core.PhaseNames entry (%d):\n%s", got, len(core.PhaseNames), text)
+	}
+	for _, name := range core.PhaseNames {
+		if !strings.Contains(text, fmt.Sprintf("fluodb_phase_seconds_count{phase=%q}", name)) {
+			t.Fatalf("/metrics missing the %q phase series:\n%s", name, text)
+		}
 	}
 }
 

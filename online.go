@@ -28,10 +28,10 @@ type Interval = bootstrap.Interval
 // OnlineMetrics aggregates online execution statistics.
 type OnlineMetrics = core.Metrics
 
-// PhaseTimes is a per-phase breakdown of where online execution time
-// went (join, fold, bootstrap weights, classification, uncertain
-// re-evaluation, range maintenance, recompute, snapshot emission).
-// Fine-grained phases require OnlineOptions.Profile.
+// PhaseTimes is a per-phase wall-time breakdown of where online
+// execution time went: the batch feed (fold), uncertain re-evaluation,
+// range maintenance, recompute and snapshot emission. Phases are always
+// collected, timed per call rather than per tuple.
 type PhaseTimes = core.PhaseTimes
 
 // BlockPhaseStat is one lineage block's cumulative per-phase profile.
@@ -237,9 +237,7 @@ func (oq *OnlineQuery) AuditInvariants() []Violation { return oq.eng.AuditInvari
 
 // Report renders an EXPLAIN-ANALYZE-style text profile of the execution
 // so far: run totals, the per-phase time breakdown, each lineage block's
-// cumulative cost, and the per-batch trajectory. Enable
-// OnlineOptions.Profile for the fine-grained (join/fold/weights/
-// classify) phases.
+// cumulative cost, and the per-batch trajectory.
 func (oq *OnlineQuery) Report() string { return oq.eng.Report() }
 
 // ConvergenceSeries returns the per-batch convergence samples recorded

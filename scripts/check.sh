@@ -47,14 +47,17 @@ go test ./internal/core -run 'TestParallelFoldBitIdentical|TestRecomputeReplayBi
 echo "== alloc regression (go test ./internal/core -run TestFoldSteadyStateAllocs)"
 go test ./internal/core -run TestFoldSteadyStateAllocs -count=1
 
-echo "== alloc regression with instrumentation on (profiled subtests)"
-go test ./internal/core -run 'TestFoldSteadyStateAllocs/.+/profiled' -count=1
+echo "== alloc regression with the event tracer on (traced subtests)"
+# Subtest names have two or three levels (single-key/traced,
+# single-key/sampled/traced); the third pattern level admits "sampled"
+# so the sampled cases run too.
+go test ./internal/core -run 'TestFoldSteadyStateAllocs/.+/(traced|sampled)/traced' -count=1
 
 echo "== alloc regression with span timelines on (spanned subtests)"
 # The span tracer records at batch/phase/task granularity into
 # preallocated slabs, so the per-tuple fold loop must stay at zero
 # allocations with a SpanTracer attached.
-go test ./internal/core -run 'TestFoldSteadyStateAllocs/.+/spanned' -count=1
+go test ./internal/core -run 'TestFoldSteadyStateAllocs/.+/(spanned|sampled)/spanned' -count=1
 
 echo "== span timeline smoke (go test ./internal/core -run TestSpanHierarchyParallelQuery)"
 # A P=4 multi-key query must export a Chrome trace that parses as JSON
